@@ -37,7 +37,6 @@ class HCalConfig:
     clusters: int = 15
     norm: str = "abs"  # "abs" | "squared"
     weighting: str = "adaptive"  # "adaptive" | "uniform"
-    cache_weights: bool = False  # trainer reuses first-epoch k-means weights
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
@@ -86,20 +85,21 @@ def event_indicators(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def build_windows(
-    probs: np.ndarray, labels: np.ndarray, window: int
+    probs: np.ndarray, labels: np.ndarray, window: int, perm: np.ndarray | None = None
 ) -> tuple[WindowSet, np.ndarray, np.ndarray]:
     """Sort atomic-event probabilities; return per-position summand vectors.
 
     At sorted position j holding probability p for event (i, {l}):
     a_j = (1 - p) * 1{Y_i = l} and b_j = p * 1{Y_i != l}.  Sliding sums of
     ``a`` and ``b`` are exactly the two tallies whose gap the loss bounds.
+    A given ``perm`` replaces the sort order (a frozen structure).
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, l = probs.shape
     if window > n * l:
         raise ValueError(f"window {window} exceeds the {n * l} atomic events")
     flat = probs.ravel()
-    perm = np.argsort(flat, kind="stable")
+    perm = np.argsort(flat, kind="stable") if perm is None else perm
     q = flat[perm]
     ev = event_indicators(labels, l)[perm]
     a = (1.0 - q) * ev
@@ -120,29 +120,67 @@ def kmeans_1d(values: np.ndarray, k: int, max_iter: int = 100) -> tuple[np.ndarr
     """Deterministic 1-D Lloyd clustering.
 
     Centers start at the k equally-spaced quantiles of ``values``; iteration
-    stops when assignments stabilize or after ``max_iter`` rounds.  Ties in
-    nearest-center assignment go to the lower center index.  Returns
-    (centers, assignment).
+    stops when assignments stabilize or after ``max_iter`` rounds.  A value
+    goes to the center at the smallest ``|value - center|``, ties to the
+    lower index (so the upper of two equal centers stays empty, keeping its
+    center).  Unsorted values are sorted once and the assignments mapped
+    back; on sorted values each cluster is a contiguous run, so a Lloyd step
+    finds k - 1 split points by binary search and sums the runs with
+    ``np.add.reduceat``.  Returns (centers, assignment).
     """
     values = np.asarray(values, dtype=np.float64)
+    order = None
+    if np.count_nonzero(values[1:] < values[:-1]):
+        order = np.argsort(values, kind="stable")
+        values = values[order]
     centers = np.quantile(values, (np.arange(k) + 0.5) / k)
-    assign = None
+    padded = np.append(values, 0.0)  # a run may start at values.size when empty
+    edges = np.full(k + 1, values.size)
+    edges[0] = 0
+    starts, ends = edges[:-1], edges[1:]  # views: cluster j is values[starts[j]:ends[j]]
+    splits = _nearest_center_splits(values, centers)
     for _ in range(max_iter):
-        # nearest sorted center via boundary search; a value exactly on a
-        # boundary is equidistant and goes to the lower center
-        boundaries = (centers[:-1] + centers[1:]) / 2.0
-        new_assign = np.searchsorted(boundaries, values, side="left")
-        if assign is not None and np.array_equal(new_assign, assign):
+        edges[1:-1] = splits
+        counts = ends - starts
+        # an empty run's sum is garbage, and its cluster keeps its center
+        np.divide(np.add.reduceat(padded, starts), counts, out=centers, where=counts > 0)
+        centers.sort()
+        new_splits = _nearest_center_splits(values, centers)
+        if not np.count_nonzero(new_splits != splits):
             break
-        assign = new_assign
-        counts = np.bincount(assign, minlength=k)
-        sums = np.bincount(assign, weights=values, minlength=k)
-        nonempty = counts > 0
-        centers = np.where(nonempty, sums / np.maximum(counts, 1), centers)
-        centers = np.sort(centers)
-    boundaries = (centers[:-1] + centers[1:]) / 2.0
-    assign = np.searchsorted(boundaries, values, side="left")
+        splits = new_splits
+    edges[1:-1] = splits
+    assign = np.repeat(np.arange(k), ends - starts)
+    if order is not None:
+        assign[order] = assign.copy()
     return centers, assign
+
+
+# offsets from a split to the last value at or below its midpoint and the
+# first value above it, and the side of the split the midpoint test gives each
+_NEAR_MIDPOINT = np.array([[-1], [0]])
+_NEARER_UPPER = np.array([[False], [True]])
+
+
+def _nearest_center_splits(values: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Split points of sorted ``values`` between sorted ``centers``: entry j
+    counts the values nearest to one of centers 0..j (ties to the lower)."""
+    lo, hi = centers[:-1], centers[1:]
+    splits = values.searchsorted((lo + hi) / 2.0, "right")
+    # rounding can make the distance test disagree with the midpoint test
+    # only on the two values next to a midpoint; one that does crosses the
+    # split with its run of equal values.  No value is strictly nearer to the
+    # upper of two equal centers, so that cluster stays empty and a later
+    # split bounds the earlier ones.
+    near = values.take(splits + _NEAR_MIDPOINT, mode="clip")
+    nearer_upper = np.abs(near - hi) < np.abs(near - lo)
+    if np.count_nonzero(nearer_upper != _NEARER_UPPER):
+        below_up, above_up = nearer_upper
+        splits = np.where(below_up, values.searchsorted(near[0], "left"),
+                          np.where(above_up, splits, values.searchsorted(near[1], "right")))
+        splits[lo == hi] = values.size
+        splits = np.minimum.accumulate(splits[::-1])[::-1]
+    return splits
 
 
 def kmeans_weights(window_centroids: np.ndarray, clusters: int) -> np.ndarray:
@@ -171,14 +209,16 @@ def hcal_loss(
     labels: np.ndarray,
     cfg: HCalConfig,
     weights: np.ndarray | None = None,
+    perm: np.ndarray | None = None,
 ) -> LossOutput:
     """Window-alignment loss with subgradients w.r.t. the probabilities.
 
-    ``weights`` overrides the per-window weights (used by the trainer when
-    ``cfg.cache_weights`` is set); otherwise they come from ``cfg.weighting``.
+    ``perm`` and ``weights`` fix the event order and the window weights (the
+    frozen structure the gradient differentiates); by default they come from
+    sorting and ``cfg.weighting``.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    ws, a, b = build_windows(probs, labels, cfg.window)
+    ws, a, b = build_windows(probs, labels, cfg.window, perm)
     m = cfg.window
     diff = (window_sums(a, m) - window_sums(b, m)) / m
 
@@ -225,33 +265,6 @@ def _scatter_window_grad(g: np.ndarray, window: int, n_positions: int) -> np.nda
     hi = np.minimum(j, n_windows - 1) + 1
     lo = np.maximum(j - window + 1, 0)
     return prefix[hi] - prefix[lo]
-
-
-def hcal_loss_frozen(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    cfg: HCalConfig,
-    perm: np.ndarray,
-    weights: np.ndarray,
-) -> float:
-    """Loss value with the sort permutation and weights held fixed.
-
-    This is the function the backward pass differentiates; finite-difference
-    checks must evaluate it, not the re-sorting loss.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    l = probs.shape[1]
-    q = probs.ravel()[perm]
-    ev = event_indicators(labels, l)[perm]
-    a = (1.0 - q) * ev
-    b = q * (~ev)
-    m = cfg.window
-    diff = (window_sums(a, m) - window_sums(b, m)) / m
-    if cfg.norm == "squared":
-        per_window = diff * diff
-    else:
-        per_window = np.maximum(np.abs(diff) - cfg.epsilon, 0.0)
-    return cfg.multiplier * float(weights @ per_window)
 
 
 def frozen_structure(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig):

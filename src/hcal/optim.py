@@ -4,13 +4,13 @@ selection across mapping-family candidates by a training-set metric."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LogitDataset
-from .loss import HCalConfig, LossOutput, frozen_structure, hcal_loss, resolve_loss
-from .maps import CalibrationMap, init_map
+from .dataset import LogitDataset, softmax_rows
+from .loss import HCalConfig, LossOutput, resolve_loss
+from .maps import STANDARD_HYPER_GRID, CalibrationMap, init_map
 from .metrics import get_metric
 
 ADAM_BETA1 = 0.9
@@ -117,8 +117,10 @@ def _epoch_pass(
     lr: float,
     batch_order: np.ndarray | None,
     batch_size: int | None,
+    trace=None,
 ) -> float:
-    """Run one epoch of forward/loss/backward/update; returns the mean loss."""
+    """Run one epoch of forward/loss/backward/update; returns the mean loss.
+    A full-batch ``trace`` at the current parameters replaces the forward."""
     n = logits.shape[0]
     if batch_size is None or batch_size >= n:
         slices = [np.arange(n)]
@@ -126,19 +128,15 @@ def _epoch_pass(
         slices = [batch_order[s:s + batch_size] for s in range(0, n, batch_size)]
     total, seen = 0.0, 0
     for idx in slices:
-        try:
+        if trace is None:
             trace = cal_map.forward(logits[idx])
-        except FloatingPointError as exc:
-            raise TrainingDivergedError(
-                f"forward pass diverged at step {state.step + 1} "
-                f"(family {cal_map.family}): {exc}"
-            ) from exc
         out: LossOutput = loss_fn(trace.probs, labels[idx])
         if not np.isfinite(out.value):
             raise TrainingDivergedError(
                 f"non-finite loss at step {state.step + 1} (family {cal_map.family})"
             )
         pgrad, _ = cal_map.backward(trace, out.prob_grad)
+        trace = None
         cal_map.params = adam_step(cal_map.params, pgrad, state, lr)
         total += out.value * len(idx)
         seen += len(idx)
@@ -159,14 +157,19 @@ def train_one(
     improvement and training stops after ``early_stop_patience`` of them.
     Both patience counters reference the same global best.  The returned map
     carries the parameters of the best monitored epoch.
+
+    In full-batch mode the monitor's forward after each update is also the
+    next epoch's training forward: E epochs take E + 1 forwards.  A forward
+    that blows up raises :class:`TrainingDivergedError`.
     """
     start = time.perf_counter()
     cal_map = cal_map.clone()
     cal_map.n_classes = train.n_classes
     monitor = get_metric(cfg.monitor_metric)
-    loss_fn = _make_loss_fn(loss_cfg, cal_map, train)
+    loss_fn = resolve_loss(loss_cfg)
     state = AdamState.zeros(cal_map.n_params)
     rng = np.random.default_rng(cfg.seed)
+    full_batch = cfg.batch_size is None or cfg.batch_size >= train.n_samples
 
     history = TrainHistory()
     best_exact = np.inf  # governs the returned snapshot (true minimum)
@@ -174,15 +177,25 @@ def train_one(
     best_params = cal_map.params.copy()
     lr = cfg.lr
     sched_wait = stop_wait = 0
+    trace = None  # full batch: the monitor forward at the current parameters
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(train.n_samples) if cfg.batch_size is not None else None
-        mean_loss = _epoch_pass(
-            cal_map, train.logits, train.labels, loss_fn, state, lr,
-            order, cfg.batch_size,
-        )
-        probs = cal_map.forward(train.logits).probs
-        metric_val = float(monitor(probs, train.labels))
+        try:
+            mean_loss = _epoch_pass(
+                cal_map, train.logits, train.labels, loss_fn, state, lr,
+                order, cfg.batch_size, trace,
+            )
+            trace = None  # free the spent trace before the next forward
+            trace = cal_map.forward(train.logits)
+        except FloatingPointError as exc:  # raised by a forward's finiteness check
+            raise TrainingDivergedError(
+                f"forward pass diverged at step {state.step + 1} "
+                f"(family {cal_map.family}): {exc}"
+            ) from exc
+        metric_val = float(monitor(trace.probs, train.labels))
+        if not full_batch:
+            trace = None
         history.records.append(EpochRecord(epoch, mean_loss, metric_val, lr))
         if log_fn is not None:
             log_fn(f"epoch {epoch} loss {mean_loss:.6g} {cfg.monitor_metric} {metric_val:.6g} lr {lr:.6g}")
@@ -209,18 +222,6 @@ def train_one(
     return cal_map, history
 
 
-def _make_loss_fn(loss_cfg, cal_map: CalibrationMap, train: LogitDataset):
-    """Resolve the loss spec; honours HCalConfig.cache_weights by freezing
-    the first-epoch k-means weights for the rest of the run."""
-    if isinstance(loss_cfg, HCalConfig) and loss_cfg.cache_weights:
-        if loss_cfg.weighting == "adaptive":
-            probs0 = cal_map.forward(train.logits).probs
-            _, cached = frozen_structure(probs0, train.labels, loss_cfg)
-            return lambda probs, labels: hcal_loss(probs, labels, loss_cfg, weights=cached)
-        loss_cfg = replace(loss_cfg, cache_weights=False)
-    return resolve_loss(loss_cfg)
-
-
 @dataclass
 class CandidateReport:
     family: str
@@ -243,6 +244,7 @@ def select_model(
     selector metric on the training set (ties broken by declaration order)."""
     if not families:
         raise ValueError("need at least one candidate")
+    _check_trainable(train, loss_cfg, cfg)
     selector = get_metric(cfg.selector_metric)
     best = None  # (value, map, history)
     reports: list[CandidateReport] = []
@@ -269,14 +271,31 @@ def select_model(
     return best[1], best[2], reports
 
 
+def _check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
+    """Reject what would otherwise fail only after a candidate has trained."""
+    n, n_classes = train.n_samples, train.n_classes
+    window = getattr(HCalConfig() if loss_cfg == "hcal" else loss_cfg, "window", 0)
+    rows = n if cfg.batch_size is None else min(cfg.batch_size, n % cfg.batch_size or n)
+    if window > rows * n_classes:
+        fix = f"a window <= {rows * n_classes}"
+        if rows < n:
+            fix += f" or a batch_size that leaves no batch under {-(-window // n_classes)} samples"
+        raise ValueError(f"window {window} exceeds the {rows * n_classes} atomic events of "
+                         f"a {rows}-sample batch ({n_classes} classes); use {fix}")
+    probe = softmax_rows(train.logits)
+    for option in ("monitor_metric", "selector_metric"):
+        metric = get_metric(getattr(cfg, option))
+        try:
+            metric(probe, train.labels)
+        except ValueError as exc:
+            raise ValueError(f"{option} {getattr(cfg, option)!r} cannot score {n} training "
+                             f"samples ({exc}); choose another {option} or add samples") from exc
+
+
 def _hyper_tuple(hyper) -> tuple:
     return tuple(hyper) if isinstance(hyper, (tuple, list)) else (hyper,)
 
 
 def standard_grid() -> list[tuple]:
     """The standard 12-candidate family grid."""
-    grid: list[tuple] = []
-    grid += [("ensemble_temp", m) for m in (16, 32, 64, 128)]
-    grid += [("piecewise_linear", z) for z in (1, 10, 100, 500)]
-    grid += [("monotonic_net", (w, w)) for w in (2, 10, 20, 50)]
-    return grid
+    return [(family, h) for family, hypers in STANDARD_HYPER_GRID.items() for h in hypers]

@@ -23,7 +23,6 @@ from hcal.loss import (
     event_indicators,
     frozen_structure,
     hcal_loss,
-    hcal_loss_frozen,
     nll_loss,
     window_sums,
 )
@@ -99,7 +98,7 @@ def _fd_instance(family, hyper, loss_kind, seed, h=1e-4):
         def loss_at(p):
             if not np.array_equal(_sign_pattern(p, labels, cfg, perm), base_pattern):
                 raise _KinkCrossed
-            return hcal_loss_frozen(p, labels, cfg, perm, w)
+            return hcal_loss(p, labels, cfg, w, perm).value
 
     elif loss_kind == "nll":
         out = nll_loss(trace.probs, labels)

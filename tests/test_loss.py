@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hcal.loss import (
@@ -8,7 +10,6 @@ from hcal.loss import (
     build_windows,
     frozen_structure,
     hcal_loss,
-    hcal_loss_frozen,
     kmeans_1d,
     kmeans_weights,
     nll_loss,
@@ -87,9 +88,35 @@ class TestKmeans1d:
         centers, assign = kmeans_1d(values, k)
         n_centers, n_assign = oracles.naive_kmeans_1d(values, k)
         np.testing.assert_allclose(centers, n_centers, rtol=1e-9, atol=1e-12)
-        counts = np.bincount(assign, minlength=k)
-        n_counts = np.bincount(np.array(n_assign), minlength=k)
-        np.testing.assert_array_equal(counts, n_counts)
+        np.testing.assert_array_equal(assign, n_assign)
+
+    # Values are multiples of 1/64, so every cluster sum is exact in float64
+    # and both implementations compute the same centers to the last bit:
+    # values exactly midway between two centers, ties and duplicate centers
+    # then occur often, and the assignments must agree exactly.  (On
+    # arbitrary floats "nearest" is decided by rounding within an ulp of a
+    # midpoint, where no two summation orders need agree.)
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ticks=st.one_of(*(st.lists(st.integers(0, top), min_size=1, max_size=40)
+                          for top in (3, 12, 64))),
+        k=st.integers(1, 12),
+        presorted=st.booleans(),
+    )
+    @example(ticks=[17], k=5, presorted=False)  # n = 1
+    @example(ticks=[3, 60, 3, 9, 41], k=1, presorted=False)
+    # a value midway between two centers, where the rounded midpoint and
+    # the rounded distances disagree
+    @example(ticks=[0, 6, 0, 5, 2], k=5, presorted=False)
+    @example(ticks=[3, 3, 1, 1, 1, 1, 2, 3, 3, 0, 2, 1, 1, 3, 0, 1], k=3, presorted=False)
+    # fewer distinct values than clusters: equal centers, the upper stays empty
+    @example(ticks=[2, 3, 1, 1, 3], k=6, presorted=False)
+    def test_matches_naive_lloyd_exactly_on_ties(self, ticks, k, presorted):
+        values = np.array(sorted(ticks) if presorted else ticks) / 64.0
+        centers, assign = kmeans_1d(values, k)
+        n_centers, n_assign = oracles.naive_kmeans_1d(values, k)
+        np.testing.assert_array_equal(assign, n_assign)
+        np.testing.assert_allclose(centers, n_centers, rtol=0, atol=1e-12)
 
     def test_weights_sum_is_nonempty_cluster_fraction(self, rng):
         for _ in range(20):
@@ -214,8 +241,8 @@ class TestHcalLoss:
                 bump = np.zeros_like(probs)
                 bump[i, j] = h
                 fd[i, j] = (
-                    hcal_loss_frozen(probs + bump, labels, cfg, perm, weights)
-                    - hcal_loss_frozen(probs - bump, labels, cfg, perm, weights)
+                    hcal_loss(probs + bump, labels, cfg, weights, perm).value
+                    - hcal_loss(probs - bump, labels, cfg, weights, perm).value
                 ) / (2 * h)
         scale = max(np.abs(fd).max(), np.abs(out.prob_grad).max(), 1e-8)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(out.prob_grad)), 1e-6 * scale)

@@ -167,15 +167,25 @@ class TestTrainOne:
                 HCalConfig(window=200), TrainConfig(max_epochs=2),
             )
 
-    def test_cached_weights_mode_runs(self):
-        task, _ = make_calibrated_task(n=300, seed=10)
-        cfg_loss = HCalConfig(window=30, cache_weights=True)
-        trained, history = train_one(
-            init_map("ensemble_temp", 2, seed=0), task, cfg_loss,
-            TrainConfig(seed=0, max_epochs=10, scheduler_patience=3,
-                        early_stop_patience=8),
+    @pytest.mark.parametrize("batch_size, per_epoch", [(None, 1), (64, 5)])
+    def test_forward_calls_per_epoch(self, monkeypatch, batch_size, per_epoch):
+        # full batch: the monitor forward after each update is the next
+        # epoch's training forward; mini-batch: one forward per batch plus
+        # the monitor
+        calls = []
+        forward = EnsembleTempMap.forward
+        monkeypatch.setattr(EnsembleTempMap, "forward",
+                            lambda self, logits: calls.append(1) or forward(self, logits))
+        task, _ = make_calibrated_task(n=256, seed=10)
+        epochs = 6
+        _, history = train_one(
+            init_map("ensemble_temp", 2, seed=0), task, HCalConfig(window=30),
+            TrainConfig(seed=0, max_epochs=epochs, batch_size=batch_size,
+                        early_stop_patience=epochs + 1),
         )
-        assert len(history.records) == 10
+        assert len(history.records) == epochs
+        expected = epochs + 1 if batch_size is None else epochs * per_epoch
+        assert len(calls) == expected
 
     def test_history_csv(self, tmp_path):
         task, _ = make_calibrated_task(n=200, seed=11)
@@ -227,6 +237,35 @@ class TestSelectModel:
         )
         assert reports[0].selector_value == reports[1].selector_value
         assert best.hyper() == (2, 0)
+
+    def test_forward_blow_up_marks_candidate_failed(self):
+        # at lr=1000 the monotonic_net's first update makes its next forward
+        # non-finite; the candidate fails and the grid goes on
+        task = make_overconfident_task(n_train=500, n_test=10, n_classes=10, seed=0)
+        _, _, reports = select_model(
+            task.train, [("monotonic_net", (2, 2)), ("ensemble_temp", 16)],
+            HCalConfig(), TrainConfig(max_epochs=3, lr=1000.0),
+        )
+        assert [r.failed for r in reports] == [True, False]
+
+    def test_short_tail_batch_rejected_before_training(self):
+        # 1010 samples in batches of 100 leave a 10-sample tail batch: 50
+        # atomic events, fewer than the default window of 200
+        task, _ = make_calibrated_task(n=1010, n_classes=5, seed=4)
+        log = []
+        with pytest.raises(ValueError, match="window 200 exceeds .* 10-sample batch.*batch_size"):
+            select_model(task, [("ensemble_temp", 16)], HCalConfig(),
+                         TrainConfig(max_epochs=2, batch_size=100), log_fn=log.append)
+        assert log == []
+
+    def test_too_few_samples_for_selector_rejected_before_training(self):
+        # dece needs two samples in each of its 15 equal-mass bins
+        task, _ = make_calibrated_task(n=25, n_classes=2, seed=5)
+        log = []
+        with pytest.raises(ValueError, match="selector_metric 'dece' cannot score 25"):
+            select_model(task, [("ensemble_temp", 16)], HCalConfig(window=10),
+                         TrainConfig(max_epochs=2), log_fn=log.append)
+        assert log == []
 
     def test_empty_candidates_rejected(self):
         task, _ = make_calibrated_task(n=100, seed=3)

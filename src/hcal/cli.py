@@ -11,97 +11,76 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .dataset import LogitDataset, load_dataset, softmax_rows
 from .diagram import render_reliability_svg
 from .loss import HCalConfig
-from .maps import STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
-from .metrics import METRICS, MetricReport, evaluate, get_metric, reliability_data
+from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
+from .metrics import DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric, reliability_data
 from .optim import TrainConfig, standard_grid, select_model, train_one
+
+
+_LOSS_KEYS = {f.name for f in fields(HCalConfig)}
+_SIZE_KEYS = [name for cls in FAMILIES.values() for name in cls.hyper_names]
 
 
 @dataclass
 class RunConfig:
-    """Merged options for one CLI invocation."""
+    """Merged options for one CLI invocation.
 
-    seed: int = 0
-    # loss
+    The fields are the CLI's own options.  Loss and trainer options stay in
+    ``overrides`` and go to :class:`HCalConfig` / :class:`TrainConfig`,
+    which supply every default.
+    """
+
     loss: str = "hcal"
-    epsilon: float = 1e-20
-    window: int = 200
-    multiplier: float = 1e5
-    clusters: int = 15
-    norm: str = "abs"
-    weighting: str = "adaptive"
-    # trainer
-    lr: float = 0.005
-    max_epochs: int = 2000
-    scheduler_patience: int = 20
-    scheduler_factor: float = 0.5
-    early_stop_patience: int = 160
-    batch_size: int | None = None
-    monitor_metric: str = "ece_ew"
-    selector_metric: str | None = None  # None = dece, or nll for the NLL loss
-    # family grid
-    family: str | None = None
+    family: str | None = None  # None = the standard grid
     m: int | None = None
     z: int | None = None
     groups: int | None = None
     units: int | None = None
-    # evaluation
     bins: int | None = None  # None = each metric's documented default
     metrics: str | None = None  # comma-separated ids; None = full suite
+    overrides: dict = field(default_factory=dict)
 
     def loss_spec(self):
         if self.loss == "hcal":
-            return HCalConfig(
-                epsilon=self.epsilon,
-                window=self.window,
-                multiplier=self.multiplier,
-                clusters=self.clusters,
-                norm=self.norm,
-                weighting=self.weighting,
-            )
+            return HCalConfig(**{k: v for k, v in self.overrides.items() if k in _LOSS_KEYS})
         if self.loss in ("nll", "brier"):
             return self.loss
         raise ValueError(f"unknown loss {self.loss!r} (choose hcal, nll, or brier)")
 
     def train_config(self) -> TrainConfig:
-        selector = self.selector_metric
-        if selector is None:
-            selector = "nll" if self.loss == "nll" else "dece"
-        return TrainConfig(
-            max_epochs=self.max_epochs,
-            lr=self.lr,
-            scheduler_patience=self.scheduler_patience,
-            scheduler_factor=self.scheduler_factor,
-            early_stop_patience=self.early_stop_patience,
-            batch_size=self.batch_size,
-            monitor_metric=self.monitor_metric,
-            selector_metric=selector,
-            seed=self.seed,
-        )
+        kwargs = {k: v for k, v in self.overrides.items() if k not in _LOSS_KEYS}
+        if self.loss == "nll":
+            kwargs.setdefault("selector_metric", "nll")
+        return TrainConfig(**kwargs)
 
     def family_grid(self) -> list[tuple]:
+        """The (family, hyper) candidates.  Without a family: the standard
+        grid; without sizes: the family's grid; else the one given size, a
+        missing monotonic_net size copying the given one.  A size flag the
+        family does not take is rejected."""
+        if self.family is not None and self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        names = FAMILIES[self.family].hyper_names if self.family else ()
+        sizes = {k: getattr(self, k) for k in _SIZE_KEYS if getattr(self, k) is not None}
+        for key in sizes:
+            if key not in names:
+                owner = next(f for f, cls in FAMILIES.items() if key in cls.hyper_names)
+                raise ValueError(f"--{key} is a size of {owner}; it needs --family {owner}"
+                                 + (f", not {self.family}" if self.family else ""))
         if self.family is None:
             return standard_grid()
-        if self.family == "ensemble_temp":
-            sizes = [self.m] if self.m is not None else list(STANDARD_HYPER_GRID[self.family])
-            return [("ensemble_temp", s) for s in sizes]
-        if self.family == "piecewise_linear":
-            sizes = [self.z] if self.z is not None else list(STANDARD_HYPER_GRID[self.family])
-            return [("piecewise_linear", s) for s in sizes]
-        if self.family == "monotonic_net":
-            if self.groups is not None or self.units is not None:
-                g = self.groups if self.groups is not None else self.units
-                u = self.units if self.units is not None else self.groups
-                return [("monotonic_net", (g, u))]
-            return [("monotonic_net", h) for h in STANDARD_HYPER_GRID[self.family]]
-        raise ValueError(f"unknown family {self.family!r}")
+        if not sizes:
+            return [(self.family, h) for h in STANDARD_HYPER_GRID[self.family]]
+        hyper = tuple(sizes.get(k, next(iter(sizes.values()))) for k in names)
+        return [(self.family, hyper if len(hyper) > 1 else hyper[0])]
 
     def metric_ids(self) -> list[str] | None:
         if self.metrics is None:
@@ -112,14 +91,19 @@ class RunConfig:
         return ids
 
 
-_INT_KEYS = {"seed", "window", "clusters", "max_epochs", "scheduler_patience",
-             "early_stop_patience", "batch_size", "m", "z", "groups", "units", "bins"}
-_FLOAT_KEYS = {"epsilon", "multiplier", "lr", "scheduler_factor"}
+# accepted config-file keys and their value types, read off the annotations
+# (an ``int | None`` option parses as int); min_improvement is the trainer's
+# internal dead-band, not a user option
+CONFIG_KEYS = {
+    name: next(t for t in (*get_args(hint), hint) if t is not type(None))
+    for cls in (RunConfig, HCalConfig, TrainConfig)
+    for name, hint in get_type_hints(cls).items()
+    if name not in ("overrides", "min_improvement")
+}
 
 
 def read_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
-    known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -128,56 +112,50 @@ def read_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        else:
-            out[key] = value
+        out[key] = CONFIG_KEYS[key](value)
     return out
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            setattr(cfg, f.name, flag_val)
-    return cfg
+    given = read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    own = {f.name: given.pop(f.name) for f in fields(RunConfig) if f.name in given}
+    return RunConfig(**own, overrides=given)
+
+
+def _flag(p: argparse.ArgumentParser, key: str, **kwargs) -> None:
+    """Add ``--key`` (dashes for underscores), typed like its config key."""
+    p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key], **kwargs)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int)
+    _flag(p, "seed")
     p.add_argument("--out", help="output path for CSV results")
 
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss", choices=["hcal", "nll", "brier"])
-    p.add_argument("--epsilon", type=float, help="calibration error bound")
-    p.add_argument("--window", type=int, help="events per constraint window")
-    p.add_argument("--multiplier", type=float, help="loss scale factor")
-    p.add_argument("--clusters", type=int, help="k-means clusters for window weighting")
-    p.add_argument("--norm", choices=["abs", "squared"])
-    p.add_argument("--weighting", choices=["adaptive", "uniform"])
+    _flag(p, "loss", choices=["hcal", "nll", "brier"])
+    _flag(p, "epsilon", help="calibration error bound")
+    _flag(p, "window", help="events per constraint window")
+    _flag(p, "multiplier", help="loss scale factor")
+    _flag(p, "clusters", help="k-means clusters for window weighting")
+    _flag(p, "norm", choices=["abs", "squared"])
+    _flag(p, "weighting", choices=["adaptive", "uniform"])
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--monitor-metric", dest="monitor_metric")
-    p.add_argument("--selector-metric", dest="selector_metric")
-    p.add_argument("--family", choices=sorted(STANDARD_HYPER_GRID))
-    p.add_argument("--m", type=int, help="ensemble_temp component count")
-    p.add_argument("--z", type=int, help="piecewise_linear segment count")
-    p.add_argument("--groups", type=int, help="monotonic_net group count")
-    p.add_argument("--units", type=int, help="monotonic_net units per group")
+    for key in ("lr", "max_epochs", "batch_size", "monitor_metric", "selector_metric"):
+        _flag(p, key)
+    _flag(p, "family", choices=sorted(FAMILIES))
+    _flag(p, "m", help="ensemble_temp component count")
+    _flag(p, "z", help="piecewise_linear segment count")
+    _flag(p, "groups", help="monotonic_net group count")
+    _flag(p, "units", help="monotonic_net units per group")
     p.add_argument("--verbose", action="store_true", help="log one line per epoch")
 
 
@@ -199,14 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("test_path")
     _add_common(p_eval)
     p_eval.add_argument("--metrics", help="comma-separated metric ids (default: full suite)")
-    p_eval.add_argument("--bins", type=int, help="override the bin count of binned metrics")
+    _flag(p_eval, "bins", help="override the bin count of binned metrics")
 
     p_diag = sub.add_parser("diagram", help="write an SVG reliability diagram")
     p_diag.add_argument("model_path", help="model file, or 'uncal' for plain softmax")
     p_diag.add_argument("test_path")
     p_diag.add_argument("out_svg")
     _add_common(p_diag)
-    p_diag.add_argument("--bins", type=int)
+    _flag(p_diag, "bins")
 
     p_cmp = sub.add_parser("compare", help="train several calibrators and tabulate metrics")
     p_cmp.add_argument("train_path")
@@ -223,25 +201,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_model(model_path: str, ds: LogitDataset) -> np.ndarray:
+def _apply_model(model_path: str, test_path: str) -> tuple[LogitDataset, np.ndarray]:
+    """Load the test set and apply the model (or plain softmax for 'uncal')."""
+    ds = load_dataset(test_path)
     if model_path == "uncal":
-        return softmax_rows(ds.logits)
+        return ds, softmax_rows(ds.logits)
     cal_map = load_map(model_path)
     if cal_map.n_classes and cal_map.n_classes != ds.n_classes:
         raise ValueError(
             f"class-count mismatch: model {model_path} was trained with "
             f"{cal_map.n_classes} classes, dataset has {ds.n_classes}"
         )
-    return cal_map.forward(ds.logits).probs
+    return ds, cal_map.forward(ds.logits).probs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
+    grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
     train_ds = load_dataset(args.train_path)
     log_fn = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-    best, history, reports = select_model(
-        train_ds, cfg.family_grid(), cfg.loss_spec(), cfg.train_config(), log_fn=log_fn
-    )
+    best, history, reports = select_model(train_ds, grid, loss_spec, train_cfg, log_fn=log_fn)
     save_map(best, args.model_path)
     history_path = Path(args.model_path).with_name(Path(args.model_path).name + ".history.csv")
     history.to_csv(history_path)
@@ -258,8 +237,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    test_ds = load_dataset(args.test_path)
-    probs = _apply_model(args.model_path, test_ds)
+    test_ds, probs = _apply_model(args.model_path, args.test_path)
     report = evaluate(
         probs, test_ds.labels, cfg.metric_ids(),
         metadata={"dataset": test_ds.name, "calibrator": args.model_path},
@@ -274,9 +252,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_diagram(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    test_ds = load_dataset(args.test_path)
-    probs = _apply_model(args.model_path, test_ds)
-    stats = reliability_data(probs, test_ds.labels, bins=cfg.bins or 15)
+    test_ds, probs = _apply_model(args.model_path, args.test_path)
+    stats = reliability_data(probs, test_ds.labels,
+                             bins=DEFAULT_BINS if cfg.bins is None else cfg.bins)
     title = f"{test_ds.name} / {Path(args.model_path).name}"
     Path(args.out_svg).write_bytes(render_reliability_svg(stats, title=title).encode("utf-8"))
     print(f"wrote {args.out_svg}")
@@ -289,23 +267,6 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 _COMPARE_CALIBRATORS = ("uncal", "hcal", "nll_ts", "brier_ts")
 
 
-def _train_compare_calibrator(name: str, cfg: RunConfig, train_ds: LogitDataset):
-    """Fit one named calibrator; returns a probs-producing callable."""
-    if name == "uncal":
-        return lambda ds: softmax_rows(ds.logits)
-    if name == "hcal":
-        best, _, _ = select_model(
-            train_ds, cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
-        )
-        return lambda ds: best.forward(ds.logits).probs
-    if name in ("nll_ts", "brier_ts"):
-        loss = "nll" if name == "nll_ts" else "brier"
-        tc = cfg.train_config()
-        trained, _ = train_one(EnsembleTempMap(1, seed=tc.seed), train_ds, loss, tc)
-        return lambda ds: trained.forward(ds.logits).probs
-    raise ValueError(f"unknown calibrator {name!r} (choose from {', '.join(_COMPARE_CALIBRATORS)})")
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     names = [c.strip() for c in args.calibrators.split(",") if c.strip()]
@@ -316,6 +277,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"unknown calibrator {name!r} (choose from {', '.join(_COMPARE_CALIBRATORS)})"
             )
+    # options are checked before any data loads
+    grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
     train_ds = load_dataset(args.train_path)
     test_ds = load_dataset(args.test_path)
     metric_ids = cfg.metric_ids() or list(METRICS)
@@ -326,8 +289,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if name == "uncal":
             reports[name] = uncal_report
             continue
-        apply_fn = _train_compare_calibrator(name, cfg, train_ds)
-        reports[name] = evaluate(apply_fn(test_ds), test_ds.labels, metric_ids)
+        if name == "hcal":
+            best, _, _ = select_model(train_ds, grid, loss_spec, train_cfg)
+        else:  # nll_ts, brier_ts: single-temperature scaling with that loss
+            ts_map = EnsembleTempMap(1, seed=train_cfg.seed)
+            best, _ = train_one(ts_map, train_ds, name[:-3], train_cfg)
+        reports[name] = evaluate(best.forward(test_ds.logits).probs, test_ds.labels, metric_ids)
 
     rows = []
     for name in names:

@@ -300,12 +300,9 @@ def brier_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
 
 
 def resolve_loss(spec):
-    """Map a loss spec (HCalConfig | 'hcal' | 'nll' | 'brier') to a callable."""
+    """Map a loss spec (HCalConfig | 'nll' | 'brier') to a callable."""
     if isinstance(spec, HCalConfig):
         return lambda probs, labels: hcal_loss(probs, labels, spec)
-    if spec == "hcal":
-        cfg = HCalConfig()
-        return lambda probs, labels: hcal_loss(probs, labels, cfg)
     if spec == "nll":
         return nll_loss
     if spec == "brier":

@@ -37,7 +37,6 @@ STANDARD_HYPER_GRID = {
     "monotonic_net": ((2, 2), (10, 10), (20, 20), (50, 50)),
 }
 
-_FAMILY_IDS = {"ensemble_temp": 0, "piecewise_linear": 1, "monotonic_net": 2}
 _MAP_MAGIC = b"HMAP"
 _MAP_HEADER = struct.Struct("<4sIIIIII")  # magic, version, family, h0, h1, n_classes, n_params
 
@@ -57,20 +56,23 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     return probs * (dprobs - inner)
 
 
-def _rowmax_normalize_backward(dx: np.ndarray, argmax_idx: np.ndarray) -> np.ndarray:
-    """Backprop through x = logits - logits[argmax] per row."""
-    dlogits = dx.copy()
-    np.subtract.at(dlogits, (np.arange(dx.shape[0]), argmax_idx), dx.sum(axis=1))
-    return dlogits
-
-
 class CalibrationMap:
-    """Base class; concrete families implement forward/backward."""
+    """Base class; concrete families implement forward/backward.
+
+    Each family declares its name, the fixed ``family_id`` written into
+    model files, and ``hyper_names``, the constructor's size arguments in
+    order; :data:`FAMILIES` collects the classes.
+    """
 
     family: str
+    family_id: int
+    hyper_names: tuple[str, ...]
 
-    def __init__(self, params: np.ndarray, seed: int, n_classes: int = 0):
-        self.params = np.asarray(params, dtype=np.float64).copy()
+    def __init__(self, params: np.ndarray, size: int, seed: int, n_classes: int = 0):
+        params = np.asarray(params, dtype=np.float64)
+        if params.size != size:
+            raise ValueError(f"{self.describe()} needs {size} params, got {params.size}")
+        self.params = params.copy()
         self.seed = seed
         self.n_classes = n_classes  # 0 = not pinned to a class count yet
 
@@ -79,15 +81,13 @@ class CalibrationMap:
         return self.params.size
 
     def hyper(self) -> tuple[int, int]:
-        raise NotImplementedError
+        """The sizes as stored in a model file: two slots, 0 when unused."""
+        sizes = tuple(getattr(self, name) for name in self.hyper_names)
+        return (sizes + (0,))[:2]
 
     def describe(self) -> str:
-        h = self.hyper()
-        if self.family == "ensemble_temp":
-            return f"ensemble_temp(m={h[0]})"
-        if self.family == "piecewise_linear":
-            return f"piecewise_linear(z={h[0]})"
-        return f"monotonic_net(groups={h[0]}, units={h[1]})"
+        sizes = ", ".join(f"{name}={getattr(self, name)}" for name in self.hyper_names)
+        return f"{self.family}({sizes})"
 
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         raise NotImplementedError
@@ -123,19 +123,15 @@ class EnsembleTempMap(CalibrationMap):
     """
 
     family = "ensemble_temp"
+    family_id = 0
+    hyper_names = ("m",)
 
     def __init__(self, m: int, seed: int = 0, params: np.ndarray | None = None, n_classes: int = 0):
         if m < 1:
             raise ValueError(f"need at least one temperature component, got m={m}")
         self.m = m
-        if params is None:
-            params = np.zeros(2 * m)  # T_k = 1, uniform weights: identity softmax
-        if params.size != 2 * m:
-            raise ValueError(f"ensemble_temp with m={m} needs {2 * m} params, got {params.size}")
-        super().__init__(params, seed, n_classes)
-
-    def hyper(self):
-        return (self.m, 0)
+        # default T_k = 1, uniform weights: identity softmax
+        super().__init__(np.zeros(2 * m) if params is None else params, 2 * m, seed, n_classes)
 
     def _unpack(self):
         raw_t = self.params[: self.m]
@@ -173,7 +169,37 @@ class EnsembleTempMap(CalibrationMap):
         return np.concatenate([raw_t_grad, raw_w_grad]), dlogits
 
 
-class PiecewiseLinearMap(CalibrationMap):
+class ScalarTransformMap(CalibrationMap):
+    """Shared frame of the families that apply one scalar monotone transform
+    to every logit: x = logits - row max, y = ``_transform(x)``, then row
+    softmax.
+
+    Subclasses implement ``_transform(x) -> (y, cache)`` and
+    ``_transform_backward(cache, dy) -> (param_grad, dx)``, where ``dx`` is
+    a new array; the base owns the normalization, the softmax, the
+    finiteness check and their backward passes.
+    """
+
+    def forward(self, logits: np.ndarray) -> ForwardTrace:
+        logits = np.asarray(logits, dtype=np.float64)
+        argmax_idx = logits.argmax(axis=1)
+        x = logits - logits[np.arange(len(logits)), argmax_idx][:, None]
+        y, cache = self._transform(x)
+        probs = softmax_rows(y)
+        self._check_finite(probs)
+        cache["argmax_idx"] = argmax_idx
+        return ForwardTrace(logits, probs, cache)
+
+    def backward(self, trace, upstream):
+        self._check_trace(trace, upstream)
+        dy = _softmax_backward(trace.probs, upstream)
+        param_grad, dx = self._transform_backward(trace.cache, dy)
+        # x = logits - logits[argmax]: the argmax column also carries -sum(dx)
+        np.subtract.at(dx, (np.arange(dx.shape[0]), trace.cache["argmax_idx"]), dx.sum(axis=1))
+        return param_grad, dx
+
+
+class PiecewiseLinearMap(ScalarTransformMap):
     """Continuous piecewise-linear transform over [-100, 0], then softmax.
 
     The row max is subtracted so inputs land in (-inf, 0]; anything below
@@ -182,27 +208,19 @@ class PiecewiseLinearMap(CalibrationMap):
     """
 
     family = "piecewise_linear"
+    family_id = 1
+    hyper_names = ("z",)
 
     def __init__(self, z: int, seed: int = 0, params: np.ndarray | None = None, n_classes: int = 0):
         if z < 1:
             raise ValueError(f"need at least one segment, got z={z}")
         self.z = z
         self.seg_width = PIECEWISE_RANGE / z
-        if params is None:
-            params = np.zeros(z)  # unit slopes: identity on [-100, 0]
-        if params.size != z:
-            raise ValueError(f"piecewise_linear with z={z} needs {z} params, got {params.size}")
-        super().__init__(params, seed, n_classes)
+        # default unit slopes: identity on [-100, 0]
+        super().__init__(np.zeros(z) if params is None else params, z, seed, n_classes)
 
-    def hyper(self):
-        return (self.z, 0)
-
-    def forward(self, logits: np.ndarray) -> ForwardTrace:
-        logits = np.asarray(logits, dtype=np.float64)
+    def _transform(self, x):
         slopes = np.exp(self.params)
-        argmax_idx = logits.argmax(axis=1)
-        x = logits - logits[np.arange(len(logits)), argmax_idx][:, None]
-        clamped = x < -PIECEWISE_RANGE
         xc = np.maximum(x, -PIECEWISE_RANGE)
         seg = np.minimum(
             ((xc + PIECEWISE_RANGE) / self.seg_width).astype(np.int64), self.z - 1
@@ -210,21 +228,11 @@ class PiecewiseLinearMap(CalibrationMap):
         knots = -PIECEWISE_RANGE + self.seg_width * np.arange(self.z)
         cum = np.concatenate([[0.0], np.cumsum(slopes) * self.seg_width])
         y = -PIECEWISE_RANGE + cum[seg] + slopes[seg] * (xc - knots[seg])
-        probs = softmax_rows(y)
-        self._check_finite(probs)
-        return ForwardTrace(
-            logits,
-            probs,
-            {"xc": xc, "seg": seg, "knots": knots, "slopes": slopes,
-             "clamped": clamped, "argmax_idx": argmax_idx},
-        )
+        return y, {"xc": xc, "seg": seg, "knots": knots, "slopes": slopes,
+                   "clamped": x < -PIECEWISE_RANGE}
 
-    def backward(self, trace, upstream):
-        self._check_trace(trace, upstream)
-        xc, seg = trace.cache["xc"], trace.cache["seg"]
-        knots, slopes = trace.cache["knots"], trace.cache["slopes"]
-        dy = _softmax_backward(trace.probs, upstream)
-
+    def _transform_backward(self, cache, dy):
+        xc, seg, knots, slopes = cache["xc"], cache["seg"], cache["knots"], cache["slopes"]
         dy_flat, seg_flat = dy.ravel(), seg.ravel()
         # dy/ds_j = seg_width for every full segment j below, plus the partial
         # run inside the active segment
@@ -234,15 +242,12 @@ class PiecewiseLinearMap(CalibrationMap):
             seg_flat, weights=dy_flat * (xc.ravel() - knots[seg_flat]), minlength=self.z
         )
         slope_grad = self.seg_width * suffix + partial
-        param_grad = slopes * slope_grad
-
         dx = dy * slopes[seg]
-        dx[trace.cache["clamped"]] = 0.0
-        dlogits = _rowmax_normalize_backward(dx, trace.cache["argmax_idx"])
-        return param_grad, dlogits
+        dx[cache["clamped"]] = 0.0
+        return slopes * slope_grad, dx
 
 
-class MonotonicNetMap(CalibrationMap):
+class MonotonicNetMap(ScalarTransformMap):
     """Min-over-groups of max-over-units of affine pieces, then softmax.
 
     Each scalar max-normalized logit x maps to
@@ -254,6 +259,8 @@ class MonotonicNetMap(CalibrationMap):
     """
 
     family = "monotonic_net"
+    family_id = 2
+    hyper_names = ("groups", "units")
 
     def __init__(
         self,
@@ -274,14 +281,7 @@ class MonotonicNetMap(CalibrationMap):
             centers = -PIECEWISE_RANGE + (np.arange(units) + 0.5) * slot
             biases = np.tile(centers, groups) + rng.uniform(-0.25 * slot, 0.25 * slot, n)
             params = np.concatenate([np.zeros(n), biases])
-        if params.size != 2 * n:
-            raise ValueError(
-                f"monotonic_net ({groups}, {units}) needs {2 * n} params, got {params.size}"
-            )
-        super().__init__(params, seed, n_classes)
-
-    def hyper(self):
-        return (self.groups, self.units)
+        super().__init__(params, 2 * n, seed, n_classes)
 
     def _unpack(self):
         n = self.groups * self.units
@@ -289,11 +289,8 @@ class MonotonicNetMap(CalibrationMap):
         b = self.params[n:].reshape(self.groups, self.units)
         return a, b
 
-    def forward(self, logits: np.ndarray) -> ForwardTrace:
-        logits = np.asarray(logits, dtype=np.float64)
+    def _transform(self, x):
         a, b = self._unpack()
-        argmax_idx = logits.argmax(axis=1)
-        x = logits - logits[np.arange(len(logits)), argmax_idx][:, None]
         flat = x.ravel()
         y_flat = np.empty_like(flat)
         active = np.empty(flat.size, dtype=np.int64)
@@ -308,27 +305,29 @@ class MonotonicNetMap(CalibrationMap):
             rows = np.arange(len(chunk))
             y_flat[s:s + block] = group_max[rows, k_star]
             active[s:s + block] = k_star * self.units + j_star[rows, k_star]
-        y = y_flat.reshape(x.shape)
-        probs = softmax_rows(y)
-        self._check_finite(probs)
-        return ForwardTrace(
-            logits, probs, {"x": x, "active": active, "a": a, "argmax_idx": argmax_idx}
-        )
+        return y_flat.reshape(x.shape), {"x": x, "active": active, "a": a}
 
-    def backward(self, trace, upstream):
-        self._check_trace(trace, upstream)
-        x, active, a = trace.cache["x"], trace.cache["active"], trace.cache["a"]
+    def _transform_backward(self, cache, dy):
+        x, active, a = cache["x"], cache["active"], cache["a"]
         n = self.groups * self.units
-        dy = _softmax_backward(trace.probs, upstream)
         dy_flat = dy.ravel()
-
         da = np.bincount(active, weights=dy_flat * x.ravel(), minlength=n)
         db = np.bincount(active, weights=dy_flat, minlength=n)
-        param_grad = np.concatenate([a.ravel() * da, db])
-
         dx = (dy_flat * a.ravel()[active]).reshape(x.shape)
-        dlogits = _rowmax_normalize_backward(dx, trace.cache["argmax_idx"])
-        return param_grad, dlogits
+        return np.concatenate([a.ravel() * da, db]), dx
+
+
+FAMILIES: dict[str, type[CalibrationMap]] = {
+    cls.family: cls for cls in (EnsembleTempMap, PiecewiseLinearMap, MonotonicNetMap)
+}
+"""Every map family by name: the one table behind :func:`init_map`,
+:func:`load_map` and :func:`save_map`, the CLI's size flags, and each
+map's ``hyper()`` and ``describe()``."""
+
+
+def hyper_tuple(hyper) -> tuple:
+    """A candidate's sizes as a tuple: ``16`` -> ``(16,)``, ``(2, 3)`` as is."""
+    return tuple(hyper) if isinstance(hyper, (tuple, list)) else (hyper,)
 
 
 def init_map(family: str, hyper, seed: int = 0) -> CalibrationMap:
@@ -338,37 +337,24 @@ def init_map(family: str, hyper, seed: int = 0) -> CalibrationMap:
     (groups, units) pair for ``monotonic_net``.  Off-grid sizes are allowed
     but flagged with a warning.
     """
-    if family == "ensemble_temp":
-        m = int(hyper)
-        _warn_off_grid(family, m)
-        return EnsembleTempMap(m, seed=seed)
-    if family == "piecewise_linear":
-        z = int(hyper)
-        _warn_off_grid(family, z)
-        return PiecewiseLinearMap(z, seed=seed)
-    if family == "monotonic_net":
-        groups, units = (int(hyper[0]), int(hyper[1]))
-        _warn_off_grid(family, (groups, units))
-        return MonotonicNetMap(groups, units, seed=seed)
-    raise ValueError(f"unknown mapping family {family!r}")
-
-
-def _warn_off_grid(family: str, hyper) -> None:
-    if hyper not in STANDARD_HYPER_GRID[family]:
+    if family not in FAMILIES:
+        raise ValueError(f"unknown mapping family {family!r}")
+    cls = FAMILIES[family]
+    sizes = tuple(int(h) for h in hyper_tuple(hyper))
+    if (sizes if len(sizes) > 1 else sizes[0]) not in STANDARD_HYPER_GRID[family]:
         warnings.warn(
             f"{family} hyper {hyper!r} is outside the standard grid "
             f"{STANDARD_HYPER_GRID[family]}",
-            stacklevel=3,
+            stacklevel=2,
         )
+    return cls(*sizes, seed=seed)
 
 
 def save_map(m: CalibrationMap, path: str | Path) -> None:
     """Serialize a map (binary, little-endian) plus a text sidecar."""
     path = Path(path)
     h = m.hyper()
-    header = _MAP_HEADER.pack(
-        _MAP_MAGIC, 1, _FAMILY_IDS[m.family], h[0], h[1], m.n_classes, m.n_params
-    )
+    header = _MAP_HEADER.pack(_MAP_MAGIC, 1, m.family_id, h[0], h[1], m.n_classes, m.n_params)
     path.write_bytes(header + m.params.astype("<f8").tobytes())
     sidecar = path.with_name(path.name + ".meta.txt")
     lines = [
@@ -389,17 +375,16 @@ def load_map(path: str | Path) -> CalibrationMap:
     magic, version, fam_id, h0, h1, n_classes, n_params = _MAP_HEADER.unpack_from(raw)
     if magic != _MAP_MAGIC or version != 1:
         raise ValueError(f"{path}: not a calibration map file")
-    params = np.frombuffer(raw, dtype="<f8", count=n_params, offset=_MAP_HEADER.size).copy()
-    families = {v: k for k, v in _FAMILY_IDS.items()}
-    family = families.get(fam_id)
-    seed = _read_sidecar_seed(path)
-    if family == "ensemble_temp":
-        return EnsembleTempMap(h0, seed=seed, params=params, n_classes=n_classes)
-    if family == "piecewise_linear":
-        return PiecewiseLinearMap(h0, seed=seed, params=params, n_classes=n_classes)
-    if family == "monotonic_net":
-        return MonotonicNetMap(h0, h1, seed=seed, params=params, n_classes=n_classes)
-    raise ValueError(f"{path}: unknown family id {fam_id}")
+    expected = _MAP_HEADER.size + 8 * n_params
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {n_params} parameters need a {expected}-byte file, "
+                         f"got {len(raw)} bytes")
+    cls = next((c for c in FAMILIES.values() if c.family_id == fam_id), None)
+    if cls is None:
+        raise ValueError(f"{path}: unknown family id {fam_id}")
+    params = np.frombuffer(raw, dtype="<f8", offset=_MAP_HEADER.size).copy()
+    return cls(*(h0, h1)[:len(cls.hyper_names)], seed=_read_sidecar_seed(path),
+               params=params, n_classes=n_classes)
 
 
 def _read_sidecar_seed(path: Path) -> int:

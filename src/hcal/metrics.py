@@ -4,7 +4,7 @@ Conventions shared across the suite:
 
 * top-label confidence is the row max; the predicted class is the argmax
   with lowest-index tie-break (same convention as the mapping families);
-* binned metrics default to 15 bins; equal-width bin m covers
+* binned metrics default to 15 bins (``cwece_s``: 14); equal-width bin m covers
   [m/bins, (m+1)/bins) with the last bin closed at 1;
 * equal-mass bins are contiguous runs of the stably-sorted confidences, so
   bin sizes differ by at most one and ties keep their input order.
@@ -13,6 +13,7 @@ Conventions shared across the suite:
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,11 @@ def _require_nonempty(probs: np.ndarray) -> None:
         raise ValueError("empty input")
 
 
+def _check_bins(bins: int) -> None:
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+
+
 @dataclass
 class BinStats:
     """Per-bin reliability statistics for the top-label prediction."""
@@ -96,6 +102,7 @@ class BinStats:
 def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> BinStats:
     """Equal-width top-label bin statistics plus the overall aggregates."""
     _require_nonempty(probs)
+    _check_bins(bins)
     conf, correct = top_label(probs, labels)
     idx = equal_width_bin_index(conf, bins)
     counts = np.bincount(idx, minlength=bins)
@@ -288,10 +295,12 @@ def kde_ece(
 
 
 def _classwise_bin_gaps(
-    class_probs: np.ndarray, class_events: np.ndarray, bins: int
+    class_probs: np.ndarray, class_events: np.ndarray, bins: int, idx: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin (count, |mean event - mean prob|) for one class column."""
-    idx = equal_width_bin_index(class_probs, bins)
+    """Per nonempty bin (count, |mean event - mean prob|) for one class
+    column; bins are equal-width unless ``idx`` assigns them."""
+    if idx is None:
+        idx = equal_width_bin_index(class_probs, bins)
     counts = np.bincount(idx, minlength=bins)
     p_sum = np.bincount(idx, weights=class_probs, minlength=bins)
     e_sum = np.bincount(idx, weights=class_events, minlength=bins)
@@ -380,12 +389,7 @@ def _tcwece_impl(probs, labels, threshold, bins, kmeans_bins) -> float:
             counts, gaps = _classwise_bin_gaps(p, e, bins)
         else:
             kk = min(kmeans_bins, retained)
-            _, assign = kmeans_1d(p, kk)
-            counts = np.bincount(assign, minlength=kk)
-            p_sum = np.bincount(assign, weights=p, minlength=kk)
-            e_sum = np.bincount(assign, weights=e, minlength=kk)
-            mask = counts > 0
-            counts, gaps = counts[mask], np.abs(e_sum[mask] - p_sum[mask]) / counts[mask]
+            counts, gaps = _classwise_bin_gaps(p, e, kk, kmeans_1d(p, kk)[1])
         per_class.append(float((counts / retained) @ gaps))
     if not per_class:
         raise ValueError(f"no entries retained above threshold {threshold}")
@@ -476,9 +480,9 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
 # registry and reports
 
 METRICS = {
-    "ece_ew": lambda p, y: ece(p, y, "equal_width", DEFAULT_BINS, r=1),
-    "ece_em": lambda p, y: ece(p, y, "equal_mass", DEFAULT_BINS, r=1),
-    "ece_r2": lambda p, y: ece(p, y, "equal_width", DEFAULT_BINS, r=2),
+    "ece_ew": lambda p, y, bins=DEFAULT_BINS: ece(p, y, "equal_width", bins, r=1),
+    "ece_em": lambda p, y, bins=DEFAULT_BINS: ece(p, y, "equal_mass", bins, r=1),
+    "ece_r2": lambda p, y, bins=DEFAULT_BINS: ece(p, y, "equal_width", bins, r=2),
     "dece": dece,
     "ace": ace,
     "sweep_ece": lambda p, y: sweep_ece(p, y, r=1),
@@ -486,16 +490,20 @@ METRICS = {
     "ks": ks_error,
     "mmce": mmce,
     "kde_ece": kde_ece,
-    "cwece_a": lambda p, y: cwece(p, y, "a"),
-    "cwece_s": lambda p, y: cwece(p, y, "s"),
-    "cwece_r2": lambda p, y: cwece(p, y, "r2"),
+    "cwece_a": lambda p, y, bins=DEFAULT_BINS: cwece(p, y, "a", bins),
+    "cwece_s": lambda p, y, bins=DEFAULT_BINS - 1: cwece(p, y, "s", bins),
+    "cwece_r2": lambda p, y, bins=DEFAULT_BINS: cwece(p, y, "r2", bins),
     "tcwece": tcwece,
-    "tcwece_k": tcwece_k,
+    "tcwece_k": lambda p, y, bins=DEFAULT_BINS: tcwece_k(p, y, k=bins),
     "dkde_ce": dkde_ce,
     "skce": skce,
     "nll": nll,
     "accuracy": accuracy,
 }
+"""Metric id -> ``(probs, labels)`` callable.  A metric is binned exactly
+when its callable takes a ``bins`` keyword, whose default is the metric's
+documented bin count; :func:`evaluate` passes its ``bins`` override only
+to those."""
 
 
 def get_metric(metric_id: str):
@@ -541,21 +549,6 @@ class MetricReport:
         return "\n".join(lines)
 
 
-# binned metrics that honour an explicit bin-count override
-_BINNED_BUILDERS = {
-    "ece_ew": lambda b: lambda p, y: ece(p, y, "equal_width", b, r=1),
-    "ece_em": lambda b: lambda p, y: ece(p, y, "equal_mass", b, r=1),
-    "ece_r2": lambda b: lambda p, y: ece(p, y, "equal_width", b, r=2),
-    "dece": lambda b: lambda p, y: dece(p, y, b),
-    "ace": lambda b: lambda p, y: ace(p, y, b),
-    "cwece_a": lambda b: lambda p, y: cwece(p, y, "a", b),
-    "cwece_s": lambda b: lambda p, y: cwece(p, y, "s", b),
-    "cwece_r2": lambda b: lambda p, y: cwece(p, y, "r2", b),
-    "tcwece": lambda b: lambda p, y: tcwece(p, y, bins=b),
-    "tcwece_k": lambda b: lambda p, y: tcwece_k(p, y, k=b),
-}
-
-
 def evaluate(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -565,16 +558,18 @@ def evaluate(
 ) -> MetricReport:
     """Compute the requested metrics (default: the whole registry).
 
-    ``bins`` overrides the bin count of every binned metric (otherwise each
-    uses its documented default); the value used is recorded in metadata.
+    ``bins`` (>= 1) overrides the bin count of every binned metric (see
+    :data:`METRICS`; otherwise each uses its documented default); the value
+    used is recorded in metadata.
     """
     ids = metric_ids if metric_ids is not None else list(METRICS)
+    if bins is not None:
+        _check_bins(bins)
     values = {}
     for mid in ids:
         fn = get_metric(mid)
-        if bins is not None and mid in _BINNED_BUILDERS:
-            fn = _BINNED_BUILDERS[mid](bins)
-        values[mid] = float(fn(probs, labels))
+        binned = bins is not None and "bins" in inspect.signature(fn).parameters
+        values[mid] = float(fn(probs, labels, bins=bins) if binned else fn(probs, labels))
     meta = dict(metadata or {})
     if bins is not None:
         meta["bins"] = str(bins)

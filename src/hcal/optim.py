@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LogitDataset, softmax_rows
-from .loss import HCalConfig, LossOutput, resolve_loss
-from .maps import STANDARD_HYPER_GRID, CalibrationMap, init_map
+from .loss import LossOutput, resolve_loss
+from .maps import STANDARD_HYPER_GRID, CalibrationMap, hyper_tuple, init_map
 from .metrics import get_metric
 
 ADAM_BETA1 = 0.9
@@ -255,11 +255,11 @@ def select_model(
             probs = trained.forward(train.logits).probs
             value = float(selector(probs, train.labels))
         except TrainingDivergedError:
-            reports.append(CandidateReport(family, _hyper_tuple(hyper), float("inf"),
+            reports.append(CandidateReport(family, hyper_tuple(hyper), float("inf"),
                                            0, -1, 0.0, failed=True))
             continue
         reports.append(CandidateReport(
-            family, _hyper_tuple(hyper), value,
+            family, hyper_tuple(hyper), value,
             len(history.records), history.best_epoch, history.wall_time,
         ))
         if log_fn is not None:
@@ -274,7 +274,7 @@ def select_model(
 def _check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
     """Reject what would otherwise fail only after a candidate has trained."""
     n, n_classes = train.n_samples, train.n_classes
-    window = getattr(HCalConfig() if loss_cfg == "hcal" else loss_cfg, "window", 0)
+    window = getattr(loss_cfg, "window", 0)
     rows = n if cfg.batch_size is None else min(cfg.batch_size, n % cfg.batch_size or n)
     if window > rows * n_classes:
         fix = f"a window <= {rows * n_classes}"
@@ -290,10 +290,6 @@ def _check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
         except ValueError as exc:
             raise ValueError(f"{option} {getattr(cfg, option)!r} cannot score {n} training "
                              f"samples ({exc}); choose another {option} or add samples") from exc
-
-
-def _hyper_tuple(hyper) -> tuple:
-    return tuple(hyper) if isinstance(hyper, (tuple, list)) else (hyper,)
 
 
 def standard_grid() -> list[tuple]:

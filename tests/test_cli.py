@@ -1,7 +1,21 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hcal.cli import main, read_compare_csv, read_config_file
+from hcal.cli import (
+    CONFIG_KEYS,
+    RunConfig,
+    build_parser,
+    main,
+    merge_config,
+    read_compare_csv,
+    read_config_file,
+)
+from hcal.loss import HCalConfig
+from hcal.metrics import DEFAULT_BINS
+from hcal.optim import TrainConfig, standard_grid
 from hcal.dataset import LogitDataset, save_dataset, softmax_rows
 from hcal.diagram import render_reliability_svg
 from hcal.maps import load_map
@@ -298,3 +312,124 @@ class TestDiagramUnit:
         assert svg.count("<rect") > 2
         assert "stroke-dasharray" in svg
         assert svg.rstrip().endswith("</svg>")
+
+
+def parsed(*argv) -> RunConfig:
+    return merge_config(build_parser().parse_args(["train", "in.csv", "out.hcal", *argv]))
+
+
+class TestOptionSources:
+    def test_defaults_come_from_the_dataclasses(self):
+        cfg = parsed()
+        assert cfg.loss_spec() == HCalConfig()
+        assert cfg.train_config() == TrainConfig(selector_metric="dece")
+
+    def test_overrides_reach_the_dataclasses(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("window = 30\nscheduler_factor = 0.25\nbatch_size = 64\n", encoding="utf-8")
+        cfg = parsed("--config", str(conf), "--window", "40", "--lr", "0.5", "--seed", "3")
+        assert cfg.loss_spec() == HCalConfig(window=40)
+        assert cfg.train_config() == TrainConfig(
+            lr=0.5, scheduler_factor=0.25, batch_size=64, seed=3
+        )
+
+    def test_nll_loss_selects_by_nll_unless_told(self):
+        assert parsed("--loss", "nll").loss_spec() == "nll"
+        assert parsed("--loss", "nll").train_config().selector_metric == "nll"
+        cfg = parsed("--loss", "nll", "--selector-metric", "ece_ew")
+        assert cfg.train_config().selector_metric == "ece_ew"
+
+    def test_config_keys_unchanged(self):
+        assert set(CONFIG_KEYS) == {
+            "seed", "loss", "epsilon", "window", "multiplier", "clusters", "norm",
+            "weighting", "lr", "max_epochs", "scheduler_patience", "scheduler_factor",
+            "early_stop_patience", "batch_size", "monitor_metric", "selector_metric",
+            "family", "m", "z", "groups", "units", "bins", "metrics",
+        }
+
+    def test_readme_lists_exactly_the_accepted_keys(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+        items = [item.split("\n\n", 1)[0] for item in section.split("\n- ")[1:]]
+        listed = {key for item in items for key in re.findall(r"`(\w+)`", item.split(":", 1)[1])}
+        assert listed == set(CONFIG_KEYS)
+        conf = tmp_path / "all.conf"
+        conf.write_text("".join(f"{key} = 1\n" for key in sorted(listed)), encoding="utf-8")
+        assert set(read_config_file(conf)) == listed
+        for key in ("min_improvement", "verbose", "config", "out", "calibrators", "overrides"):
+            conf.write_text(f"{key} = 1\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="unknown config key"):
+                read_config_file(conf)
+
+    def test_config_value_types_follow_the_annotations(self, tmp_path):
+        conf = tmp_path / "t.conf"
+        conf.write_text("batch_size = 64\nepsilon = 1\nm = 4\nmonitor_metric = nll\n",
+                        encoding="utf-8")
+        assert read_config_file(conf) == {
+            "batch_size": 64, "epsilon": 1.0, "m": 4, "monitor_metric": "nll"
+        }
+        assert type(read_config_file(conf)["epsilon"]) is float
+
+
+class TestSizeFlags:
+    def test_family_grid(self):
+        assert RunConfig().family_grid() == standard_grid()
+        assert RunConfig(family="piecewise_linear").family_grid() == [
+            ("piecewise_linear", z) for z in (1, 10, 100, 500)
+        ]
+        assert RunConfig(family="ensemble_temp", m=4).family_grid() == [("ensemble_temp", 4)]
+        # a missing monotonic_net size copies the given one
+        assert RunConfig(family="monotonic_net", groups=3).family_grid() == [
+            ("monotonic_net", (3, 3))
+        ]
+        assert RunConfig(family="monotonic_net", units=5).family_grid() == [
+            ("monotonic_net", (5, 5))
+        ]
+        assert RunConfig(family="monotonic_net", groups=2, units=7).family_grid() == [
+            ("monotonic_net", (2, 7))
+        ]
+
+    def test_size_without_family_rejected(self, tmp_path, capsys):
+        rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal"), "--m", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--m" in err and "--family ensemble_temp" in err
+        assert "nope.csv" not in err  # rejected before the dataset loads
+
+    def test_size_of_another_family_rejected(self, tmp_path, capsys):
+        rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal"),
+                   "--family", "ensemble_temp", "--groups", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--groups" in err and "monotonic_net" in err and "nope.csv" not in err
+
+    def test_compare_rejects_before_loading(self, tmp_path, capsys):
+        rc = main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                   "--family", "piecewise_linear", "--m", "16"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--m" in err and "a.csv" not in err
+
+    def test_config_file_size_without_family_rejected(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("units = 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="--units"):
+            parsed("--config", str(conf)).family_grid()
+
+
+class TestBinsFlag:
+    @pytest.mark.parametrize("command", ["eval", "diagram"])
+    def test_bins_below_one_rejected(self, command, small_task, tmp_path, capsys):
+        _, test_path = small_task
+        svg = [str(tmp_path / "d.svg")] if command == "diagram" else []
+        rc = main([command, "uncal", str(test_path), *svg, "--bins", "0"])
+        assert rc == 1
+        assert "bins must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "d.svg").exists()
+
+    def test_diagram_defaults_to_default_bins(self, small_task, tmp_path):
+        _, test_path = small_task
+        out = tmp_path / "d.csv"
+        assert main(["diagram", "uncal", str(test_path), str(tmp_path / "d.svg"),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == DEFAULT_BINS + 2

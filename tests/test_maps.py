@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from hcal.dataset import check_prob_matrix, softmax_rows
 from hcal.loss import brier_loss
+from hcal.maps import FAMILIES as MAP_FAMILIES
 from hcal.maps import (
     EnsembleTempMap,
     MonotonicNetMap,
@@ -212,3 +215,61 @@ class TestSerialization:
         sidecar = (tmp_path / "m.hcal.meta.txt").read_text(encoding="utf-8")
         assert "family = ensemble_temp" in sidecar
         assert "seed = 41" in sidecar
+
+
+class TestModelFormat:
+    # (family, hyper, family id, header sizes, n_params, sidecar hyper line)
+    CASES = [
+        ("ensemble_temp", 3, 0, (3, 0), 6, "hyper = 3"),
+        ("piecewise_linear", 4, 1, (4, 0), 4, "hyper = 4"),
+        ("monotonic_net", (2, 3), 2, (2, 3), 12, "hyper = 2x3"),
+    ]
+
+    @pytest.mark.parametrize("family,hyper,fam_id,sizes,n_params,hyper_line", CASES)
+    def test_bytes_and_sidecar(self, family, hyper, fam_id, sizes, n_params, hyper_line,
+                               tmp_path, rng):
+        cal_map = random_map(family, hyper, rng)
+        cal_map.n_classes = 5
+        cal_map.seed = 9
+        path = tmp_path / "m.hcal"
+        save_map(cal_map, path)
+        expected = struct.pack("<4sIIIIII", b"HMAP", 1, fam_id, *sizes, 5, n_params)
+        expected += struct.pack(f"<{n_params}d", *cal_map.params)
+        assert path.read_bytes() == expected
+        sidecar = (tmp_path / "m.hcal.meta.txt").read_text(encoding="utf-8")
+        assert sidecar.splitlines() == [
+            f"family = {family}", hyper_line, "seed = 9", "n_classes = 5",
+            f"n_params = {n_params}",
+        ]
+
+    def test_registry_matches_the_file_ids(self):
+        assert {name: (cls.family_id, cls.hyper_names) for name, cls in MAP_FAMILIES.items()} == {
+            "ensemble_temp": (0, ("m",)),
+            "piecewise_linear": (1, ("z",)),
+            "monotonic_net": (2, ("groups", "units")),
+        }
+
+    def test_describe(self):
+        assert init_map("ensemble_temp", 16).describe() == "ensemble_temp(m=16)"
+        assert init_map("piecewise_linear", 10).describe() == "piecewise_linear(z=10)"
+        assert init_map("monotonic_net", (2, 3)).describe() == "monotonic_net(groups=2, units=3)"
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.hcal"
+        save_map(init_map("ensemble_temp", 2), path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match=r"m\.hcal: 4 parameters need a 60-byte file, got 76"):
+            load_map(path)
+
+    def test_truncated_params_rejected(self, tmp_path):
+        path = tmp_path / "m.hcal"
+        save_map(init_map("ensemble_temp", 2), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match=r"m\.hcal: 4 parameters need a 60-byte file, got 52"):
+            load_map(path)
+
+    def test_unknown_family_id_rejected(self, tmp_path):
+        path = tmp_path / "m.hcal"
+        path.write_bytes(struct.pack("<4sIIIIII", b"HMAP", 1, 7, 1, 0, 0, 0))
+        with pytest.raises(ValueError, match="unknown family id 7"):
+            load_map(path)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -490,6 +492,57 @@ class TestBinsOverride:
         assert lines[0] == "lower,upper,count,mean_confidence,accuracy"
         assert len(lines) == stats.n_bins + 2  # header + bins + overall row
         assert lines[-1].startswith("overall")
+
+
+# every binned id and a direct call of its function at b bins
+BINNED_DIRECT = {
+    "ece_ew": lambda p, y, b: ece(p, y, "equal_width", b, r=1),
+    "ece_em": lambda p, y, b: ece(p, y, "equal_mass", b, r=1),
+    "ece_r2": lambda p, y, b: ece(p, y, "equal_width", b, r=2),
+    "dece": lambda p, y, b: dece(p, y, bins=b),
+    "ace": lambda p, y, b: ace(p, y, bins=b),
+    "cwece_a": lambda p, y, b: cwece(p, y, "a", bins=b),
+    "cwece_s": lambda p, y, b: cwece(p, y, "s", bins=b),
+    "cwece_r2": lambda p, y, b: cwece(p, y, "r2", bins=b),
+    "tcwece": lambda p, y, b: tcwece(p, y, bins=b),
+    "tcwece_k": lambda p, y, b: tcwece_k(p, y, k=b),
+}
+DOCUMENTED_BINS = {mid: 14 if mid == "cwece_s" else 15 for mid in BINNED_DIRECT}
+
+
+class TestBinsOverrideEveryMetric:
+    @pytest.fixture(scope="class")
+    def instance(self):
+        gen = np.random.default_rng(7)
+        return gen.dirichlet(np.ones(4) * 0.7, size=150), gen.integers(0, 4, 150)
+
+    def test_binned_ids_are_the_metrics_taking_bins(self):
+        takes_bins = {mid for mid, fn in METRICS.items()
+                      if "bins" in inspect.signature(fn).parameters}
+        assert takes_bins == set(BINNED_DIRECT)
+        for mid, fn in METRICS.items():
+            if mid in BINNED_DIRECT:
+                assert inspect.signature(fn).parameters["bins"].default == DOCUMENTED_BINS[mid]
+
+    @pytest.mark.parametrize("bins", [None, 7, 30])
+    @pytest.mark.parametrize("mid", sorted(METRICS))
+    def test_override_reaches_exactly_the_binned_metrics(self, mid, bins, instance):
+        probs, labels = instance
+        value = evaluate(probs, labels, [mid], bins=bins).values[mid]
+        if mid in BINNED_DIRECT:
+            b = DOCUMENTED_BINS[mid] if bins is None else bins
+            assert value == BINNED_DIRECT[mid](probs, labels, b)
+        else:
+            assert value == evaluate(probs, labels, [mid]).values[mid]
+            assert value == float(METRICS[mid](probs, labels))
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_bins_below_one_rejected(self, bins, instance):
+        probs, labels = instance
+        with pytest.raises(ValueError, match=f"bins must be >= 1, got {bins}"):
+            evaluate(probs, labels, ["ece_em", "dece"], bins=bins)
+        with pytest.raises(ValueError, match=f"bins must be >= 1, got {bins}"):
+            reliability_data(probs, labels, bins=bins)
 
 
 class TestRegistryAndReport:

@@ -49,11 +49,17 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
 
     def loss_spec(self):
+        """The loss: an :class:`HCalConfig` for ``hcal``, else its name.  A
+        window-loss option given with another loss is rejected."""
+        loss_keys = {k: v for k, v in self.overrides.items() if k in _LOSS_KEYS}
         if self.loss == "hcal":
-            return HCalConfig(**{k: v for k, v in self.overrides.items() if k in _LOSS_KEYS})
-        if self.loss in ("nll", "brier"):
-            return self.loss
-        raise ValueError(f"unknown loss {self.loss!r} (choose hcal, nll, or brier)")
+            return HCalConfig(**loss_keys)
+        if self.loss not in ("nll", "brier"):
+            raise ValueError(f"unknown loss {self.loss!r} (choose hcal, nll, or brier)")
+        if loss_keys:
+            raise ValueError(f"--{next(iter(loss_keys))} is an option of the hcal loss; "
+                             f"it does not apply to --loss {self.loss}")
+        return self.loss
 
     def train_config(self) -> TrainConfig:
         kwargs = {k: v for k, v in self.overrides.items() if k not in _LOSS_KEYS}
@@ -92,13 +98,12 @@ class RunConfig:
 
 
 # accepted config-file keys and their value types, read off the annotations
-# (an ``int | None`` option parses as int); min_improvement is the trainer's
-# internal dead-band, not a user option
+# (an ``int | None`` option parses as int)
 CONFIG_KEYS = {
     name: next(t for t in (*get_args(hint), hint) if t is not type(None))
     for cls in (RunConfig, HCalConfig, TrainConfig)
     for name, hint in get_type_hints(cls).items()
-    if name not in ("overrides", "min_improvement")
+    if name != "overrides"
 }
 
 
@@ -132,9 +137,10 @@ def _flag(p: argparse.ArgumentParser, key: str, **kwargs) -> None:
     p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key], **kwargs)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, trains: bool) -> None:
     p.add_argument("--config", help="flat key = value config file")
-    _flag(p, "seed")
+    if trains:
+        _flag(p, "seed")
     p.add_argument("--out", help="output path for CSV results")
 
 
@@ -168,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a calibrator and save the best model")
     p_train.add_argument("train_path", help="training dataset (csv or binary)")
     p_train.add_argument("model_path", help="output model file")
-    _add_common(p_train)
+    _add_common(p_train, trains=True)
     _add_loss_flags(p_train)
     _add_train_flags(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a model (or 'uncal') on a dataset")
     p_eval.add_argument("model_path", help="model file, or 'uncal' for plain softmax")
     p_eval.add_argument("test_path")
-    _add_common(p_eval)
+    _add_common(p_eval, trains=False)
     p_eval.add_argument("--metrics", help="comma-separated metric ids (default: full suite)")
     _flag(p_eval, "bins", help="override the bin count of binned metrics")
 
@@ -183,13 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("model_path", help="model file, or 'uncal' for plain softmax")
     p_diag.add_argument("test_path")
     p_diag.add_argument("out_svg")
-    _add_common(p_diag)
+    _add_common(p_diag, trains=False)
     _flag(p_diag, "bins")
 
     p_cmp = sub.add_parser("compare", help="train several calibrators and tabulate metrics")
     p_cmp.add_argument("train_path")
     p_cmp.add_argument("test_path")
-    _add_common(p_cmp)
+    _add_common(p_cmp, trains=True)
     _add_loss_flags(p_cmp)
     _add_train_flags(p_cmp)
     p_cmp.add_argument("--metrics", help="comma-separated metric ids")

@@ -40,7 +40,7 @@ class LogitDataset:
 
     def __post_init__(self):
         logits = np.ascontiguousarray(np.asarray(self.logits, dtype=np.float64))
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        labels = np.asarray(self.labels)  # range-checked before the int64 cast
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
         n, l = logits.shape
@@ -59,7 +59,7 @@ class LogitDataset:
                 f"label out of range at row {bad}: {labels[bad]} not in [0, {l})"
             )
         object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", np.ascontiguousarray(labels, dtype=np.int64))
 
     @property
     def n_samples(self) -> int:
@@ -93,15 +93,21 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """N x L float matrix: entry (i, l) is 1 iff sample i has label l."""
+    return (np.asarray(labels)[:, None] == np.arange(n_classes)).astype(np.float64)
+
+
 def _infer_format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "binary"
 
 
-def load_dataset(path: str | Path, format: str = "auto", name: str | None = None) -> LogitDataset:
-    """Load a logit-label dataset from CSV or binary.
+def load_dataset(path: str | Path, format: str = "auto") -> LogitDataset:
+    """Load a logit-label dataset from CSV or binary, named after the file.
 
     ``format="auto"`` picks CSV for a ``.csv`` suffix and binary otherwise.
-    Errors carry the offending row index.
+    Errors carry the path and the offending data row index (blank CSV lines
+    are not counted).
     """
     path = Path(path)
     if not path.exists():
@@ -109,17 +115,18 @@ def load_dataset(path: str | Path, format: str = "auto", name: str | None = None
     if format == "auto":
         format = _infer_format(path)
     if format == "csv":
-        ds = _load_csv(path)
+        logits, labels = _read_csv(path)
     elif format == "binary":
-        ds = _load_binary(path)
+        logits, labels = _read_binary(path)
     else:
         raise ValueError(f"unknown dataset format {format!r}")
-    if name is not None:
-        ds = LogitDataset(ds.logits, ds.labels, name=name)
-    return ds
+    try:
+        return LogitDataset(logits, labels, name=path.stem)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
-def _load_csv(path: Path) -> LogitDataset:
+def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header:
@@ -134,35 +141,28 @@ def _load_csv(path: Path) -> LogitDataset:
         if cols != expected:
             raise DatasetFormatError(f"{path}: unexpected header columns {cols}")
         logits, labels = [], []
-        for row_idx, line in enumerate(fh):
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
+            row = len(labels)
             parts = line.split(",")
             if len(parts) != n_classes + 1:
                 raise DatasetFormatError(
-                    f"{path}: wrong column count at row {row_idx} "
+                    f"{path}: wrong column count at row {row} "
                     f"(expected {n_classes + 1}, got {len(parts)})"
                 )
             try:
-                vals = [float(p) for p in parts[:-1]]
-                lab = int(parts[-1])
+                logits.append([float(p) for p in parts[:-1]])
+                labels.append(int(parts[-1]))
             except ValueError as exc:
-                raise DatasetFormatError(f"{path}: unparseable value at row {row_idx}: {exc}") from None
-            if not all(np.isfinite(vals)):
-                raise DatasetFormatError(f"{path}: non-finite value at row {row_idx}")
-            if not 0 <= lab < n_classes:
-                raise DatasetFormatError(
-                    f"{path}: label out of range at row {row_idx}: {lab} not in [0, {n_classes})"
-                )
-            logits.append(vals)
-            labels.append(lab)
+                raise DatasetFormatError(f"{path}: unparseable value at row {row}: {exc}") from None
     if not logits:
         raise DatasetFormatError(f"{path}: no data rows")
-    return LogitDataset(np.array(logits, dtype=np.float64), np.array(labels), name=path.stem)
+    return np.array(logits, dtype=np.float64), np.array(labels)
 
 
-def _load_binary(path: Path) -> LogitDataset:
+def _read_binary(path: Path) -> tuple[np.ndarray, np.ndarray]:
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise DatasetFormatError(f"{path}: truncated header")
@@ -174,19 +174,9 @@ def _load_binary(path: Path) -> LogitDataset:
     need = _HEADER.size + 4 * n * l + 4 * n
     if len(raw) != need:
         raise DatasetFormatError(f"{path}: expected {need} bytes, found {len(raw)}")
-    off = _HEADER.size
-    logits = np.frombuffer(raw, dtype="<f4", count=n * l, offset=off).reshape(n, l)
-    off += 4 * n * l
-    labels = np.frombuffer(raw, dtype="<u4", count=n, offset=off)
-    if not np.all(np.isfinite(logits)):
-        bad = int(np.argwhere(~np.isfinite(logits))[0][0])
-        raise DatasetFormatError(f"{path}: non-finite value at row {bad}")
-    if labels.max(initial=0) >= l:
-        bad = int(np.argwhere(labels >= l)[0][0])
-        raise DatasetFormatError(
-            f"{path}: label out of range at row {bad}: {labels[bad]} not in [0, {l})"
-        )
-    return LogitDataset(logits.astype(np.float64), labels.astype(np.int64), name=path.stem)
+    logits = np.frombuffer(raw, dtype="<f4", count=n * l, offset=_HEADER.size).reshape(n, l)
+    labels = np.frombuffer(raw, dtype="<u4", count=n, offset=_HEADER.size + 4 * n * l)
+    return logits, labels
 
 
 def save_dataset(ds: LogitDataset, path: str | Path, format: str = "auto") -> None:

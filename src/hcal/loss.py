@@ -19,6 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import one_hot
+
+KMEANS_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class HCalConfig:
@@ -116,14 +120,14 @@ def window_sums(vec: np.ndarray, window: int) -> np.ndarray:
     return prefix[window:] - prefix[:-window]
 
 
-def kmeans_1d(values: np.ndarray, k: int, max_iter: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic 1-D Lloyd clustering.
 
     Centers start at the k equally-spaced quantiles of ``values``; iteration
-    stops when assignments stabilize or after ``max_iter`` rounds.  A value
-    goes to the center at the smallest ``|value - center|``, ties to the
-    lower index (so the upper of two equal centers stays empty, keeping its
-    center).  Unsorted values are sorted once and the assignments mapped
+    stops when assignments stabilize or after ``KMEANS_MAX_ITER`` rounds.
+    A value goes to the center at the smallest ``|value - center|``, ties to
+    the lower index (so the upper of two equal centers stays empty, keeping
+    its center).  Unsorted values are sorted once and the assignments mapped
     back; on sorted values each cluster is a contiguous run, so a Lloyd step
     finds k - 1 split points by binary search and sums the runs with
     ``np.add.reduceat``.  Returns (centers, assignment).
@@ -139,7 +143,7 @@ def kmeans_1d(values: np.ndarray, k: int, max_iter: int = 100) -> tuple[np.ndarr
     edges[0] = 0
     starts, ends = edges[:-1], edges[1:]  # views: cluster j is values[starts[j]:ends[j]]
     splits = _nearest_center_splits(values, centers)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         edges[1:-1] = splits
         counts = ends - starts
         # an empty run's sum is garbage, and its cluster keeps its center
@@ -243,9 +247,10 @@ def hcal_loss(
 
     value = cfg.multiplier * float(weights @ per_window)
 
-    # dvalue/dV1 per window; position j collects every window covering it
+    # dvalue/dV1 per window; position j collects every window covering it,
+    # windows j - M + 1 .. j, which are the length-M runs of g padded with zeros
     g = cfg.multiplier * weights * dper
-    cover = _scatter_window_grad(g, m, ws.sorted_values.size)
+    cover = window_sums(np.pad(g, m - 1), m)
     prob_grad_flat = np.zeros(probs.size)
     prob_grad_flat[ws.perm] = -cover  # d(a_j - b_j)/dp_j = -1 regardless of the event bit
     return LossOutput(
@@ -254,17 +259,6 @@ def hcal_loss(
         n_active_windows=int(active.sum()),
         max_window_violation=max_violation,
     )
-
-
-def _scatter_window_grad(g: np.ndarray, window: int, n_positions: int) -> np.ndarray:
-    """Sum window gradients onto positions: position j is covered by windows
-    max(0, j - M + 1) .. min(j, n_windows - 1)."""
-    n_windows = g.size
-    prefix = np.concatenate([[0.0], np.cumsum(g)])
-    j = np.arange(n_positions)
-    hi = np.minimum(j, n_windows - 1) + 1
-    lo = np.maximum(j - window + 1, 0)
-    return prefix[hi] - prefix[lo]
 
 
 def frozen_structure(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig):
@@ -292,9 +286,7 @@ def brier_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
     """Mean squared error against one-hot labels, averaged over N * L entries."""
     probs = np.asarray(probs, dtype=np.float64)
     n, l = probs.shape
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels] = 1.0
-    resid = probs - onehot
+    resid = probs - one_hot(labels, l)
     value = float((resid * resid).sum() / (n * l))
     return LossOutput(value=value, prob_grad=2.0 * resid / (n * l))
 

@@ -15,16 +15,22 @@ from __future__ import annotations
 import csv
 import inspect
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import loss as loss_mod
+from .dataset import one_hot
 from .loss import kmeans_1d
 
 DEFAULT_BINS = 15
+CWECE_S_BINS = DEFAULT_BINS - 1  # keeps cwece_s distinct from cwece_a
+MMCE_BANDWIDTH = 0.4
+SKCE_BANDWIDTH = 1.0
+DKDE_BANDWIDTH = 1.0
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])  # elementwise log-gamma
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +52,15 @@ def equal_width_bin_index(values: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
-def equal_mass_slices(n: int, bins: int) -> list[slice]:
-    """Contiguous index slices with sizes differing by at most one."""
-    bounds = (np.arange(bins + 1) * n) // bins
-    return [slice(int(bounds[k]), int(bounds[k + 1])) for k in range(bins)]
+def equal_mass_bounds(n: int, bins: int) -> np.ndarray:
+    """Start of each equal-mass bin among n sorted positions, then n; bin
+    sizes differ by at most one."""
+    return (np.arange(bins + 1) * n) // bins
+
+
+def _bin_sums(values: np.ndarray, targets: np.ndarray, idx: np.ndarray, bins: int) -> tuple:
+    """Per-bin (count, sum of values, sum of targets) for bin assignment ``idx``."""
+    return tuple(np.bincount(idx, weights=w, minlength=bins) for w in (None, values, targets))
 
 
 def _require_nonempty(probs: np.ndarray) -> None:
@@ -104,10 +115,7 @@ def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_
     _require_nonempty(probs)
     _check_bins(bins)
     conf, correct = top_label(probs, labels)
-    idx = equal_width_bin_index(conf, bins)
-    counts = np.bincount(idx, minlength=bins)
-    conf_sum = np.bincount(idx, weights=conf, minlength=bins)
-    corr_sum = np.bincount(idx, weights=correct, minlength=bins)
+    counts, conf_sum, corr_sum = _bin_sums(conf, correct, equal_width_bin_index(conf, bins), bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
         acc = np.where(counts > 0, corr_sum / np.maximum(counts, 1), np.nan)
@@ -127,6 +135,28 @@ def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_
 # top-label metrics
 
 
+def _top_label_bins(
+    probs: np.ndarray, labels: np.ndarray, binning: str, bins: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per nonempty bin (count, accuracy, mean confidence) of the top-label
+    prediction."""
+    _require_nonempty(probs)
+    _check_bins(bins)
+    conf, correct = top_label(probs, labels)
+    if binning == "equal_width":
+        idx = equal_width_bin_index(conf, bins)
+    elif binning == "equal_mass":
+        order = np.argsort(conf, kind="stable")
+        conf, correct = conf[order], correct[order]
+        idx = np.repeat(np.arange(bins), np.diff(equal_mass_bounds(conf.size, bins)))
+    else:
+        raise ValueError(f"unknown binning {binning!r}")
+    counts, conf_sum, corr_sum = _bin_sums(conf, correct, idx, bins)
+    mask = counts > 0
+    counts = counts[mask]
+    return counts, corr_sum[mask] / counts, conf_sum[mask] / counts
+
+
 def ece(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -139,26 +169,9 @@ def ece(
     r=1 is the count-weighted mean absolute accuracy/confidence gap; r=2 is
     the square root of the count-weighted mean squared gap.
     """
-    _require_nonempty(probs)
-    conf, correct = top_label(probs, labels)
-    n = conf.size
-    if binning == "equal_width":
-        stats = reliability_data(probs, labels, bins)
-        mask = stats.counts > 0
-        gap = np.abs(stats.accuracy[mask] - stats.mean_confidence[mask])
-        w = stats.counts[mask] / n
-    elif binning == "equal_mass":
-        order = np.argsort(conf, kind="stable")
-        c, k = conf[order], correct[order]
-        gaps, ws = [], []
-        for sl in equal_mass_slices(n, bins):
-            if sl.stop == sl.start:
-                continue
-            gaps.append(abs(k[sl].mean() - c[sl].mean()))
-            ws.append((sl.stop - sl.start) / n)
-        gap, w = np.array(gaps), np.array(ws)
-    else:
-        raise ValueError(f"unknown binning {binning!r}")
+    counts, acc, conf = _top_label_bins(probs, labels, binning, bins)
+    gap = np.abs(acc - conf)
+    w = counts / counts.sum()
     if r == 1:
         return float(w @ gap)
     if r == 2:
@@ -173,31 +186,22 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
     gap, floors the weighted total at zero, and takes the square root.  Every
     bin must contain at least 2 samples.
     """
-    _require_nonempty(probs)
-    conf, correct = top_label(probs, labels)
-    n = conf.size
-    order = np.argsort(conf, kind="stable")
-    c, k = conf[order], correct[order]
-    total = 0.0
-    for sl in equal_mass_slices(n, bins):
-        size = sl.stop - sl.start
-        if size < 2:
-            raise ValueError(
-                f"debiased ECE needs >= 2 samples per bin; a bin got {size} "
-                f"(N={n}, bins={bins})"
-            )
-        acc = k[sl].mean()
-        gap = acc - c[sl].mean()
-        total += (size / n) * (gap * gap - acc * (1.0 - acc) / (size - 1))
+    counts, acc, conf = _top_label_bins(probs, labels, "equal_mass", bins)
+    n = int(counts.sum())
+    if n // bins < 2:  # the smallest equal-mass bin holds n // bins samples
+        raise ValueError(
+            f"debiased ECE needs >= 2 samples per bin; a bin got {n // bins} "
+            f"(N={n}, bins={bins})"
+        )
+    gap = acc - conf
+    total = (counts / n) @ (gap * gap - acc * (1.0 - acc) / (counts - 1))
     return float(np.sqrt(max(total, 0.0)))
 
 
 def ace(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
     """Unweighted mean absolute gap over the nonempty equal-width bins."""
-    _require_nonempty(probs)
-    stats = reliability_data(probs, labels, bins)
-    mask = stats.counts > 0
-    return float(np.abs(stats.accuracy[mask] - stats.mean_confidence[mask]).mean())
+    _, acc, conf = _top_label_bins(probs, labels, "equal_width", bins)
+    return float(np.abs(acc - conf).mean())
 
 
 def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
@@ -215,7 +219,7 @@ def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
     csum_k = np.concatenate([[0.0], np.cumsum(k)])
     csum_c = np.concatenate([[0.0], np.cumsum(c)])
     for b in range(n, 0, -1):
-        bounds = (np.arange(b + 1) * n) // b
+        bounds = equal_mass_bounds(n, b)
         sizes = np.diff(bounds)
         accs = np.diff(csum_k[bounds]) / sizes
         if np.all(np.diff(accs) >= 0):
@@ -239,10 +243,10 @@ def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(np.abs(h - g).max())
 
 
-def mmce(probs: np.ndarray, labels: np.ndarray, kernel_bandwidth: float = 0.4) -> float:
+def mmce(probs: np.ndarray, labels: np.ndarray) -> float:
     """Kernel-embedding top-label calibration error with a Laplacian kernel.
 
-    Returns sqrt of the (zero-floored) biased V-statistic
+    Returns sqrt of the (zero-floored) biased V-statistic, bw = MMCE_BANDWIDTH:
     (1/N^2) sum_ij (e_i - c_i) exp(-|c_i - c_j| / bw) (e_j - c_j).
     """
     _require_nonempty(probs)
@@ -253,7 +257,7 @@ def mmce(probs: np.ndarray, labels: np.ndarray, kernel_bandwidth: float = 0.4) -
     block = 2048
     for s in range(0, n, block):
         cs = conf[s:s + block]
-        kmat = np.exp(-np.abs(cs[:, None] - conf[None, :]) / kernel_bandwidth)
+        kmat = np.exp(-np.abs(cs[:, None] - conf[None, :]) / MMCE_BANDWIDTH)
         total += float(resid[s:s + block] @ kmat @ resid)
     return float(np.sqrt(max(total / (n * n), 0.0)))
 
@@ -295,18 +299,13 @@ def kde_ece(
 
 
 def _classwise_bin_gaps(
-    class_probs: np.ndarray, class_events: np.ndarray, bins: int, idx: np.ndarray | None = None
+    class_probs: np.ndarray, class_events: np.ndarray, idx: np.ndarray, bins: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per nonempty bin (count, |mean event - mean prob|) for one class
-    column; bins are equal-width unless ``idx`` assigns them."""
-    if idx is None:
-        idx = equal_width_bin_index(class_probs, bins)
-    counts = np.bincount(idx, minlength=bins)
-    p_sum = np.bincount(idx, weights=class_probs, minlength=bins)
-    e_sum = np.bincount(idx, weights=class_events, minlength=bins)
+    column under bin assignment ``idx``."""
+    counts, p_sum, e_sum = _bin_sums(class_probs, class_events, idx, bins)
     mask = counts > 0
-    gaps = np.abs(e_sum[mask] - p_sum[mask]) / counts[mask]
-    return counts[mask], gaps
+    return counts[mask], np.abs(e_sum[mask] - p_sum[mask]) / counts[mask]
 
 
 def cwece(
@@ -325,11 +324,12 @@ def cwece(
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
     if bins is None:
-        bins = DEFAULT_BINS - 1 if variant == "s" else DEFAULT_BINS
-    events = (np.asarray(labels)[:, None] == np.arange(n_classes)[None, :]).astype(np.float64)
+        bins = CWECE_S_BINS if variant == "s" else DEFAULT_BINS
+    events = one_hot(labels, n_classes)
     total = 0.0
     for l in range(n_classes):
-        counts, gaps = _classwise_bin_gaps(probs[:, l], events[:, l], bins)
+        idx = equal_width_bin_index(probs[:, l], bins)
+        counts, gaps = _classwise_bin_gaps(probs[:, l], events[:, l], idx, bins)
         if variant == "r2":
             total += float((counts / n) @ (gaps * gaps))
         else:
@@ -377,7 +377,7 @@ def _tcwece_impl(probs, labels, threshold, bins, kmeans_bins) -> float:
         threshold = 1.0 / n_classes
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    events = (np.asarray(labels)[:, None] == np.arange(n_classes)[None, :]).astype(np.float64)
+    events = one_hot(labels, n_classes)
     per_class = []
     for l in range(n_classes):
         keep = probs[:, l] > threshold
@@ -386,10 +386,10 @@ def _tcwece_impl(probs, labels, threshold, bins, kmeans_bins) -> float:
             continue
         p, e = probs[keep, l], events[keep, l]
         if kmeans_bins is None:
-            counts, gaps = _classwise_bin_gaps(p, e, bins)
+            counts, gaps = _classwise_bin_gaps(p, e, equal_width_bin_index(p, bins), bins)
         else:
             kk = min(kmeans_bins, retained)
-            counts, gaps = _classwise_bin_gaps(p, e, kk, kmeans_1d(p, kk)[1])
+            counts, gaps = _classwise_bin_gaps(p, e, kmeans_1d(p, kk)[1], kk)
         per_class.append(float((counts / retained) @ gaps))
     if not per_class:
         raise ValueError(f"no entries retained above threshold {threshold}")
@@ -400,27 +400,25 @@ def _tcwece_impl(probs, labels, threshold, bins, kmeans_bins) -> float:
 # canonical metrics
 
 
-def skce(probs: np.ndarray, labels: np.ndarray, kernel_bandwidth: float = 1.0) -> float:
+def skce(probs: np.ndarray, labels: np.ndarray) -> float:
     """Unbiased pairwise kernel calibration error over full probability rows.
 
-    Matrix kernel = exp(-||p - p'||_1 / bw) * identity, so each pair
-    contributes exp(-||p_i - p_j||_1 / bw) <e_i - p_i, e_j - p_j>.  The
-    unbiased estimator averages over the N(N-1)/2 unordered pairs and may be
-    negative.
+    Matrix kernel = exp(-||p - p'||_1 / bw) * identity, bw = SKCE_BANDWIDTH,
+    so each pair contributes exp(-||p_i - p_j||_1 / bw) <e_i - p_i, e_j - p_j>.
+    The unbiased estimator averages over the N(N-1)/2 unordered pairs and may
+    be negative.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
     if n < 2:
         raise ValueError("SKCE needs at least 2 samples")
-    resid = probs.copy()
-    resid[np.arange(n), labels] -= 1.0
-    resid = -resid  # e - p
+    resid = one_hot(labels, n_classes) - probs
     total = 0.0
     block = 256
     for s in range(0, n, block):
         pb = probs[s:s + block]
         l1 = np.abs(pb[:, None, :] - probs[None, :, :]).sum(axis=2)
-        kmat = np.exp(-l1 / kernel_bandwidth)
+        kmat = np.exp(-l1 / SKCE_BANDWIDTH)
         inner = resid[s:s + block] @ resid.T
         contrib = kmat * inner
         # keep strictly upper-triangular pairs (global i < j)
@@ -429,17 +427,13 @@ def skce(probs: np.ndarray, labels: np.ndarray, kernel_bandwidth: float = 1.0) -
     return float(total / (n * (n - 1) / 2))
 
 
-def dkde_ce(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    bandwidth: float = 1.0,
-    order: int = 2,
-) -> float:
-    """Leave-one-out Dirichlet-kernel estimate of the canonical gap.
+def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Leave-one-out Dirichlet-kernel estimate of the canonical gap: the mean
+    squared L2 distance between each row and its estimate.
 
-    Kernels are evaluated in the log domain (gammaln) so large class counts
-    do not overflow; probabilities are clamped at 1e-12 and renormalized for
-    the kernel only.
+    Kernels (bandwidth ``DKDE_BANDWIDTH``) are evaluated in the log domain
+    (lgamma) so large class counts do not overflow; probabilities are
+    clamped at 1e-12 and renormalized for the kernel only.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
@@ -447,19 +441,19 @@ def dkde_ce(
         raise ValueError("DKDE-CE needs at least 2 samples")
     safe = np.maximum(probs, 1e-12)
     safe = safe / safe.sum(axis=1, keepdims=True)
-    alpha = safe / bandwidth  # kernel parameters b_l / h per row
+    alpha = safe / DKDE_BANDWIDTH  # kernel parameters b_l / h per row
     # log K(a_j ; b_i) = lgamma(L + sum alpha_i) - sum lgamma(1 + alpha_i)
     #                    + sum alpha_i * log a_j
-    const_i = gammaln(n_classes + alpha.sum(axis=1)) - gammaln(1.0 + alpha).sum(axis=1)
+    const_i = _lgamma(n_classes + alpha.sum(axis=1)) - _lgamma(1.0 + alpha).sum(axis=1)
     logk = const_i[:, None] + alpha @ np.log(safe).T  # [i, j]
     np.fill_diagonal(logk, -np.inf)
     logk -= logk.max(axis=0, keepdims=True)  # stabilize per column j
     w = np.exp(logk)
     w /= w.sum(axis=0, keepdims=True)
-    events = (np.asarray(labels)[:, None] == np.arange(n_classes)[None, :]).astype(np.float64)
-    pi = w.T @ events  # [j, L] leave-one-out estimate
-    diff = np.abs(probs - pi)
-    return float((diff ** order).sum(axis=1).mean())
+    pi = w.T @ one_hot(labels, n_classes)  # [j, L] leave-one-out estimate
+    diff = probs - pi
+    return float((diff * diff).sum(axis=1).mean())
+
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +485,7 @@ METRICS = {
     "mmce": mmce,
     "kde_ece": kde_ece,
     "cwece_a": lambda p, y, bins=DEFAULT_BINS: cwece(p, y, "a", bins),
-    "cwece_s": lambda p, y, bins=DEFAULT_BINS - 1: cwece(p, y, "s", bins),
+    "cwece_s": lambda p, y, bins=CWECE_S_BINS: cwece(p, y, "s", bins),
     "cwece_r2": lambda p, y, bins=DEFAULT_BINS: cwece(p, y, "r2", bins),
     "tcwece": tcwece,
     "tcwece_k": lambda p, y, bins=DEFAULT_BINS: tcwece_k(p, y, k=bins),

@@ -16,6 +16,9 @@ from .metrics import get_metric
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# dead-band so exactly-flat binned metrics do not keep resetting the
+# patience counters
+MIN_IMPROVEMENT = 1e-6
 
 
 class TrainingDivergedError(RuntimeError):
@@ -35,8 +38,6 @@ class TrainConfig:
     monitor_metric: str = "ece_ew"
     selector_metric: str = "dece"
     seed: int = 0
-    min_improvement: float = 1e-6  # dead-band so exactly-flat binned metrics
-    # do not keep resetting the patience counters
 
     def __post_init__(self):
         if self.max_epochs < 0:
@@ -62,24 +63,16 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> np.ndarray:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
     """One bias-corrected Adam update; mutates ``state``, returns new params."""
     if params.shape != grads.shape:
         raise ValueError(f"params shape {params.shape} != grads shape {grads.shape}")
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grads
-    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = state.m / (1.0 - beta1 ** state.step)
-    v_hat = state.v / (1.0 - beta2 ** state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -95,10 +88,6 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1  # index into records; -1 when no epoch ran
     wall_time: float = 0.0
-
-    @property
-    def best_metric(self) -> float:
-        return self.records[self.best_epoch].metric if self.best_epoch >= 0 else float("nan")
 
     def to_csv(self, path) -> None:
         lines = ["epoch,loss,metric,lr"]
@@ -173,7 +162,7 @@ def train_one(
 
     history = TrainHistory()
     best_exact = np.inf  # governs the returned snapshot (true minimum)
-    best_banded = np.inf  # governs the patience counters (1e-6 dead-band)
+    best_banded = np.inf  # governs the patience counters (MIN_IMPROVEMENT dead-band)
     best_params = cal_map.params.copy()
     lr = cfg.lr
     sched_wait = stop_wait = 0
@@ -204,7 +193,7 @@ def train_one(
             best_exact = metric_val
             best_params = cal_map.params.copy()
             history.best_epoch = len(history.records) - 1
-        if best_banded - metric_val >= cfg.min_improvement:
+        if best_banded - metric_val >= MIN_IMPROVEMENT:
             best_banded = metric_val
             sched_wait = stop_wait = 0
         else:

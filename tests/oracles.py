@@ -176,6 +176,36 @@ def naive_skce(probs, labels, bandwidth=1.0):
     return total / (n * (n - 1) / 2)
 
 
+def naive_dkde_ce(probs, labels, bandwidth=1.0):
+    """Leave-one-out Dirichlet-kernel estimate of E ||p - E[e | p]||^2: row j
+    is scored against the kernel-weighted labels of every other row i, with
+    kernel Dir(a_j; a_i / h + 1) on rows clamped at 1e-12 and renormalized."""
+    probs = np.asarray(probs)
+    n, n_classes = probs.shape
+    safe = []
+    for row in probs:
+        clamped = [max(float(p), 1e-12) for p in row]
+        safe.append([p / sum(clamped) for p in clamped])
+
+    def log_kernel(at, params):
+        alpha = [b / bandwidth for b in params]
+        value = math.lgamma(n_classes + sum(alpha))
+        for c in range(n_classes):
+            value += alpha[c] * math.log(at[c]) - math.lgamma(1.0 + alpha[c])
+        return value
+
+    total = 0.0
+    for j in range(n):
+        logs = {i: log_kernel(safe[j], safe[i]) for i in range(n) if i != j}
+        top = max(logs.values())
+        weights = {i: math.exp(v - top) for i, v in logs.items()}
+        norm = sum(weights.values())
+        for c in range(n_classes):
+            estimate = sum(w for i, w in weights.items() if labels[i] == c) / norm
+            total += (probs[j, c] - estimate) ** 2
+    return total / n
+
+
 def naive_window_sums(vec, window):
     return [sum(vec[j:j + window]) for j in range(len(vec) - window + 1)]
 

@@ -433,3 +433,65 @@ class TestBinsFlag:
         assert main(["diagram", "uncal", str(test_path), str(tmp_path / "d.svg"),
                      "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == DEFAULT_BINS + 2
+
+
+LOSS_FLAGS = {"--epsilon": "0.01", "--window": "50", "--multiplier": "10", "--clusters": "4",
+              "--norm": "squared", "--weighting": "uniform"}
+
+
+class TestLossFlags:
+    @pytest.mark.parametrize("loss", ["nll", "brier"])
+    @pytest.mark.parametrize("flag", sorted(LOSS_FLAGS))
+    def test_window_loss_option_rejected_with_other_loss(self, loss, flag):
+        with pytest.raises(ValueError, match=f"{flag} is an option of the hcal loss; "
+                                             f"it does not apply to --loss {loss}"):
+            parsed("--loss", loss, flag, LOSS_FLAGS[flag]).loss_spec()
+
+    def test_config_file_loss_key_rejected_with_other_loss(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("loss = brier\nclusters = 4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="--clusters"):
+            parsed("--config", str(conf)).loss_spec()
+        # the same key is the window loss's own option
+        assert parsed("--config", str(conf), "--loss", "hcal").loss_spec() == HCalConfig(clusters=4)
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_rejected_before_loading(self, command, tmp_path, capsys):
+        rc = main([command, str(tmp_path / "nope.csv"), str(tmp_path / "x"),
+                   "--loss", "nll", "--window", "50"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--window" in err and "nope.csv" not in err
+
+
+# option strings of each command, in --help order
+COMMAND_OPTIONS = {
+    "train": ["--help", "train_path", "model_path", "--config", "--seed", "--out", "--loss",
+              "--epsilon", "--window", "--multiplier", "--clusters", "--norm", "--weighting",
+              "--lr", "--max-epochs", "--batch-size", "--monitor-metric", "--selector-metric",
+              "--family", "--m", "--z", "--groups", "--units", "--verbose"],
+    "eval": ["--help", "model_path", "test_path", "--config", "--out", "--metrics", "--bins"],
+    "diagram": ["--help", "model_path", "test_path", "out_svg", "--config", "--out", "--bins"],
+}
+COMMAND_OPTIONS["compare"] = [
+    "--help", "train_path", "test_path", *COMMAND_OPTIONS["train"][3:], "--metrics", "--calibrators"
+]
+
+
+class TestSeedFlag:
+    def test_options_per_command(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert set(commands) == set(COMMAND_OPTIONS)
+        for name, parser in commands.items():
+            got = [a.option_strings[-1] if a.option_strings else a.dest for a in parser._actions]
+            assert got == COMMAND_OPTIONS[name], name
+
+    @pytest.mark.parametrize("command", ["eval", "diagram"])
+    def test_seed_is_a_usage_error_where_nothing_reads_it(self, command, small_task, tmp_path,
+                                                          capsys):
+        _, test_path = small_task
+        svg = [str(tmp_path / "d.svg")] if command == "diagram" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "uncal", str(test_path), *svg, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -64,6 +66,20 @@ class TestCsvLoading:
         with pytest.raises(DatasetFormatError, match="row 0"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("1,2", "wrong column count at row 2"),
+        ("0,0,7", "label out of range at row 2: 7 not in [0, 2)"),
+        ("0,0,99999999999999999999999",
+         "label out of range at row 2: 99999999999999999999999 not in [0, 2)"),
+        ("inf,0,1", "non-finite logit at row 2"),
+    ])
+    def test_blank_lines_do_not_shift_the_row(self, tmp_path, bad_row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"logit_0,logit_1,label\n0,0,0\n\n1,1,1\n\n{bad_row}\n0,1,0\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
@@ -114,6 +130,20 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(DatasetFormatError, match="bytes"):
             load_dataset(path, format="binary")
+
+    @pytest.mark.parametrize("logit, label, message", [
+        (0.5, 3, "label out of range at row 1: 3 not in [0, 3)"),
+        (np.nan, 0, "non-finite logit at row 1"),
+    ])
+    def test_bad_row_reports_path_and_row(self, tmp_path, logit, label, message):
+        logits = np.zeros((3, 3), dtype="<f4")
+        logits[1, 2] = logit
+        labels = np.array([0, label, 2], dtype="<u4")
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<4sIII", b"HCAL", 1, 3, 3) + logits.tobytes()
+                         + labels.tobytes())
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
 
     def test_csv_round_trip_values(self, tmp_path, rng):
         ds = LogitDataset(rng.normal(size=(10, 3)), rng.integers(0, 3, 10))

@@ -401,6 +401,19 @@ class TestDkdeCe:
         with pytest.raises(ValueError, match="2 samples"):
             dkde_ce(np.array([[0.5, 0.5]]), np.array([0]))
 
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_naive(self, seed):
+        gen = np.random.default_rng(seed)
+        if seed % 4 == 3:  # many classes, and near-one-hot rows that hit the clamp
+            n, l = int(gen.integers(2, 16)), 50
+            probs = gen.dirichlet(np.ones(l) * (0.02 if seed % 8 == 3 else 1.0), size=n)
+            labels = gen.integers(0, l, size=n)
+        else:
+            probs, labels = random_instance(gen, max_n=30, max_l=8)
+        assert dkde_ce(probs, labels) == pytest.approx(
+            oracles.naive_dkde_ce(probs, labels), rel=1e-10
+        )
+
 
 class TestReliabilityData:
     def test_perfect_predictions_bins(self):

@@ -123,8 +123,14 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
-def merge_config(args: argparse.Namespace) -> RunConfig:
+def merge_config(args: argparse.Namespace, keys=CONFIG_KEYS) -> RunConfig:
+    """Config file, then flags.  A config-file key outside ``keys``, the
+    ones the command reads, is rejected."""
     given = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unread = [key for key in given if key not in keys]
+    if unread:
+        raise ValueError(f"{args.config}: config key {unread[0]!r} does not apply to "
+                         f"hcal {args.command}")
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is not None:
             given[key] = getattr(args, key)
@@ -242,7 +248,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
+    cfg = merge_config(args, keys=vars(args))  # the keys of its own flags
     test_ds, probs = _apply_model(args.model_path, args.test_path)
     report = evaluate(
         probs, test_ds.labels, cfg.metric_ids(),
@@ -257,7 +263,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
+    cfg = merge_config(args, keys=vars(args))  # the keys of its own flags
     test_ds, probs = _apply_model(args.model_path, args.test_path)
     stats = reliability_data(probs, test_ds.labels,
                              bins=DEFAULT_BINS if cfg.bins is None else cfg.bins)

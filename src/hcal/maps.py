@@ -290,21 +290,47 @@ class MonotonicNetMap(ScalarTransformMap):
         return a, b
 
     def _transform(self, x):
+        """y = min_k max_j (a_kj * x + b_kj) as ``x * a + b`` of the winning
+        line, and ``active`` = k * units + j of it (ties: lowest j, then k).
+        On each sorted block of scalars a line's :func:`_lead_intervals`
+        interval is a slice; the rest, and everything when a parameter is
+        NaN or past +-1e300, is settled by evaluating every line."""
         a, b = self._unpack()
         flat = x.ravel()
-        y_flat = np.empty_like(flat)
-        active = np.empty(flat.size, dtype=np.int64)
-        # blockwise to keep the (block, K, J) workspace bounded
-        block = max(1, 8_000_000 // (self.groups * self.units))
-        for s in range(0, flat.size, block):
-            chunk = flat[s:s + block]
-            vals = chunk[:, None, None] * a[None] + b[None]  # (block, K, J)
+        y_flat, active = np.empty_like(flat), np.empty(flat.size, dtype=np.int64)
+        unsure = [np.arange(flat.size)]
+        if np.abs(a).max() <= _MAX_MAGNITUDE and np.abs(b).max() <= _MAX_MAGNITUDE:
+            lo, hi = np.stack([_lead_intervals(a_k, b_k) for a_k, b_k in zip(a, b)], axis=1)
+            lines = np.flatnonzero(lo < hi)  # the envelope lines, group by group
+            lo, hi = lo.ravel()[lines], hi.ravel()[lines]
+            coef = list(zip(lines.tolist(), a.ravel()[lines].tolist(), b.ravel()[lines].tolist()))
+            unsure = []
+            for s in range(0, flat.size, _SCALAR_BLOCK):
+                order = np.argsort(flat[s:s + _SCALAR_BLOCK])
+                xs = flat[s:s + _SCALAR_BLOCK][order]
+                ys, acts, v = np.full(xs.size, np.inf), np.empty(xs.size, np.int64), np.empty(xs.size)
+                lower, covered = np.empty(xs.size, bool), np.zeros(xs.size, np.int64)
+                ends = zip(np.searchsorted(xs, lo).tolist(), np.searchsorted(xs, hi).tolist())
+                for (line, a_j, b_j), (i, e) in zip(coef, ends):
+                    np.add(np.multiply(xs[i:e], a_j, out=v[i:e]), b_j, out=v[i:e])
+                    np.less(v[i:e], ys[i:e], out=lower[i:e])  # ties keep the lower group
+                    np.copyto(ys[i:e], v[i:e], where=lower[i:e])
+                    np.copyto(acts[i:e], line, where=lower[i:e])
+                    covered[i:e] += 1
+                y_flat[s:s + _SCALAR_BLOCK][order] = ys
+                active[s:s + _SCALAR_BLOCK][order] = acts
+                unsure.append(s + order[covered < self.groups])
+        unsure = np.concatenate(unsure)
+        block = max(1, 4_000_000 // a.size)  # two (block, K, J) arrays alive
+        for s in range(0, unsure.size, block):
+            idx = unsure[s:s + block]
+            vals = flat[idx, None, None] * a + b
             j_star = vals.argmax(axis=2)  # ties -> lowest unit index
             group_max = np.take_along_axis(vals, j_star[:, :, None], axis=2)[:, :, 0]
             k_star = group_max.argmin(axis=1)  # ties -> lowest group index
-            rows = np.arange(len(chunk))
-            y_flat[s:s + block] = group_max[rows, k_star]
-            active[s:s + block] = k_star * self.units + j_star[rows, k_star]
+            rows = np.arange(idx.size)
+            y_flat[idx] = group_max[rows, k_star]
+            active[idx] = k_star * self.units + j_star[rows, k_star]
         return y_flat.reshape(x.shape), {"x": x, "active": active, "a": a}
 
     def _transform_backward(self, cache, dy):
@@ -315,6 +341,30 @@ class MonotonicNetMap(ScalarTransformMap):
         db = np.bincount(active, weights=dy_flat, minlength=n)
         dx = (dy_flat * a.ravel()[active]).reshape(x.shape)
         return np.concatenate([a.ravel() * da, db]), dx
+
+
+_SCALAR_BLOCK = 1 << 16  # scalars per sorted block of the envelope forward
+_MAX_MAGNITUDE = 1e300  # parameters and |x * a| this large may overflow
+# the lead a line needs over another is _LEAD_TOL * (|x| * max a + max |b|):
+# 16 times the most that rounding x * a + b twice can move one value
+_LEAD_TOL = 16 * np.finfo(np.float64).eps
+
+
+def _lead_intervals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each line ``a_j * x + b_j`` of one group, the ``lo_j <= x < hi_j``
+    (x <= 0) where it leads every other line by more than the rounding
+    tolerance (a bound linear in x), so its computed value is the strict
+    max.  Only upper-envelope lines get one; they are disjoint."""
+    slope = a[:, None] - a + _LEAD_TOL * a.max()  # row j, column m: lead of j over m
+    const = b[:, None] - b - (_LEAD_TOL * np.abs(b).max() + 1e-300)  # is slope * x + const
+    np.fill_diagonal(slope, 0.0)
+    np.fill_diagonal(const, 1.0)  # no line competes with itself
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = -const / slope  # NaN (0 / 0) empties the interval
+    cap = -_MAX_MAGNITUDE / max(a.max(), 1.0)  # keeps x * a finite
+    lo = np.maximum(np.where(slope >= 0, root, -np.inf).max(axis=1), cap)
+    hi = np.where(slope < 0, root, np.nextafter(0.0, 1.0)).min(axis=1)
+    return np.nextafter(lo, np.inf), hi
 
 
 FAMILIES: dict[str, type[CalibrationMap]] = {

@@ -88,6 +88,9 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1  # index into records; -1 when no epoch ran
     wall_time: float = 0.0
+    # the monitor forward's probabilities at the returned parameters (the
+    # same array, not a copy); None when no epoch was best
+    best_probs: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path) -> None:
         lines = ["epoch,loss,metric,lr"]
@@ -149,7 +152,8 @@ def train_one(
 
     In full-batch mode the monitor's forward after each update is also the
     next epoch's training forward: E epochs take E + 1 forwards.  A forward
-    that blows up raises :class:`TrainingDivergedError`.
+    that blows up raises :class:`TrainingDivergedError`.  The best epoch's
+    monitor probabilities stay in ``history.best_probs``.
     """
     start = time.perf_counter()
     cal_map = cal_map.clone()
@@ -182,7 +186,8 @@ def train_one(
                 f"forward pass diverged at step {state.step + 1} "
                 f"(family {cal_map.family}): {exc}"
             ) from exc
-        metric_val = float(monitor(trace.probs, train.labels))
+        probs = trace.probs
+        metric_val = float(monitor(probs, train.labels))
         if not full_batch:
             trace = None
         history.records.append(EpochRecord(epoch, mean_loss, metric_val, lr))
@@ -193,6 +198,7 @@ def train_one(
             best_exact = metric_val
             best_params = cal_map.params.copy()
             history.best_epoch = len(history.records) - 1
+            history.best_probs = probs
         if best_banded - metric_val >= MIN_IMPROVEMENT:
             best_banded = metric_val
             sched_wait = stop_wait = 0
@@ -230,7 +236,9 @@ def select_model(
     log_fn=None,
 ) -> tuple[CalibrationMap, TrainHistory, list[CandidateReport]]:
     """Train every (family, hyper) candidate; return the one minimizing the
-    selector metric on the training set (ties broken by declaration order)."""
+    selector metric on the training set (ties broken by declaration order).
+    The selector scores the best epoch's monitor probabilities; only a
+    candidate without a best epoch takes one more forward."""
     if not families:
         raise ValueError("need at least one candidate")
     _check_trainable(train, loss_cfg, cfg)
@@ -241,7 +249,9 @@ def select_model(
         candidate = init_map(family, hyper, seed=cfg.seed)
         try:
             trained, history = train_one(candidate, train, loss_cfg, cfg, log_fn=log_fn)
-            probs = trained.forward(train.logits).probs
+            probs = history.best_probs
+            if probs is None:
+                probs = trained.forward(train.logits).probs
             value = float(selector(probs, train.labels))
         except TrainingDivergedError:
             reports.append(CandidateReport(family, hyper_tuple(hyper), float("inf"),

@@ -137,6 +137,66 @@ def naive_mmce(probs, labels, bandwidth=0.4):
     return math.sqrt(max(total / (n * n), 0.0))
 
 
+def naive_kde_ece(probs, labels, bandwidth=None, grid_points=1024):
+    """Gaussian Nadaraya-Watson accuracy at each point of an even grid over
+    [1/L, 1], |grid - accuracy| weighted by the kernel density of the
+    confidences, integrated with the trapezoid rule; the default bandwidth
+    is 1.06 * sample std * N^-1/5, at least 1e-3."""
+    pairs = top_label_pairs(probs, labels)
+    n, n_classes = len(pairs), len(probs[0])
+    if bandwidth is None:
+        sigma = 0.0
+        if n > 1:
+            mean = sum(c for c, _ in pairs) / n
+            sigma = math.sqrt(sum((c - mean) ** 2 for c, _ in pairs) / (n - 1))
+        bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
+    lo = 1.0 / n_classes
+    grid = [lo + (1.0 - lo) * g / (grid_points - 1) for g in range(grid_points)]
+    values = []
+    for x in grid:
+        weights = [math.exp(-0.5 * ((x - c) / bandwidth) ** 2) for c, _ in pairs]
+        denom = sum(weights)
+        if denom > 0:
+            acc = sum(w * corr for w, (_, corr) in zip(weights, pairs)) / denom
+            values.append(abs(x - acc) * denom / (n * bandwidth * math.sqrt(2 * math.pi)))
+        else:
+            values.append(0.0)
+    return sum((grid[g + 1] - grid[g]) * (values[g] + values[g + 1]) / 2
+               for g in range(grid_points - 1))
+
+
+def naive_tcwece(probs, labels, threshold=None, bins=15, k=None):
+    """Per class, the entries above ``threshold`` (default 1/L) binned by
+    equal width (or by ``naive_kmeans_1d`` with min(k, retained) clusters),
+    count-weighted mean |event rate - mean probability|; the mean over the
+    classes that retain an entry."""
+    probs = np.asarray(probs)
+    n, n_classes = probs.shape
+    if threshold is None:
+        threshold = 1.0 / n_classes
+    per_class = []
+    for l in range(n_classes):
+        kept = [i for i in range(n) if probs[i, l] > threshold]
+        if not kept:
+            continue
+        if k is None:
+            assign = [bin_index_equal_width(probs[i, l], bins) for i in kept]
+        else:
+            assign = naive_kmeans_1d([probs[i, l] for i in kept], min(k, len(kept)))[1]
+        buckets = {}
+        for i, b in zip(kept, assign):
+            buckets.setdefault(b, []).append(i)
+        total = 0.0
+        for members in buckets.values():
+            freq = sum(1.0 for i in members if labels[i] == l) / len(members)
+            conf = sum(probs[i, l] for i in members) / len(members)
+            total += len(members) / len(kept) * abs(freq - conf)
+        per_class.append(total)
+    if not per_class:
+        raise ValueError("no entries retained")
+    return sum(per_class) / len(per_class)
+
+
 def naive_cwece(probs, labels, variant="a", bins=None):
     probs = np.asarray(probs)
     n, n_classes = probs.shape
@@ -262,3 +322,23 @@ def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None):
         t2 = sum(p for p, _, ev in run if not ev)
         total += weights[w0] * max(abs(t1 - t2) / window - epsilon, 0.0)
     return multiplier * total
+
+
+def naive_monotonic_transform(x, a, b):
+    """min over groups k of max over units j of x * a[k][j] + b[k][j] for
+    each scalar, with the lowest j and then the lowest k on ties; returns
+    (values, flat indices k * units + j of the lines that give them)."""
+    values, active = [], []
+    for v in np.ravel(x).tolist():
+        best = None  # (value, flat index)
+        for k, (ak, bk) in enumerate(zip(np.asarray(a).tolist(), np.asarray(b).tolist())):
+            top = None
+            for j in range(len(ak)):
+                val = v * ak[j] + bk[j]
+                if top is None or val > top[0]:
+                    top = (val, k * len(ak) + j)
+            if best is None or top[0] < best[0]:
+                best = top
+        values.append(best[0])
+        active.append(best[1])
+    return np.array(values), np.array(active, dtype=np.int64)

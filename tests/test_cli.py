@@ -495,3 +495,39 @@ class TestSeedFlag:
             main([command, "uncal", str(test_path), *svg, "--seed", "3"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+class TestConfigKeysPerCommand:
+    @pytest.mark.parametrize("command", ["eval", "diagram"])
+    @pytest.mark.parametrize("line", ["seed = 3", "window = 9", "lr = 0.1", "family = monotonic_net"])
+    def test_unread_key_rejected_before_loading(self, command, line, tmp_path, capsys):
+        conf = tmp_path / "e.conf"
+        conf.write_text(f"bins = 7\n{line}\n", encoding="utf-8")
+        svg = [str(tmp_path / "d.svg")] if command == "diagram" else []
+        rc = main([command, "uncal", str(tmp_path / "nope.csv"), *svg, "--config", str(conf)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config key {line.split()[0]!r} does not apply to hcal {command}" in err
+        assert "nope.csv" not in err
+
+    def test_diagram_does_not_read_metrics(self, small_task, tmp_path, capsys):
+        conf = tmp_path / "d.conf"
+        conf.write_text("metrics = ece_ew\n", encoding="utf-8")
+        rc = main(["diagram", "uncal", str(small_task[1]), str(tmp_path / "d.svg"),
+                   "--config", str(conf)])
+        assert rc == 1
+        assert "config key 'metrics' does not apply to hcal diagram" in capsys.readouterr().err
+
+    def test_eval_reads_its_own_keys(self, small_task, tmp_path, capsys):
+        conf = tmp_path / "e.conf"
+        conf.write_text("metrics = ece_ew\nbins = 7\n", encoding="utf-8")
+        out = tmp_path / "e.csv"
+        assert main(["eval", "uncal", str(small_task[1]), "--config", str(conf),
+                     "--out", str(out)]) == 0
+        report = MetricReport.from_csv(out)
+        task = make_overconfident_task(n_train=400, n_test=300, n_classes=4, temperature=0.5,
+                                       seed=0)
+        probs = softmax_rows(task.test.logits)
+        assert list(report.values) == ["ece_ew"]
+        assert report.values["ece_ew"] == pytest.approx(ece(probs, task.test.labels, bins=7),
+                                                        rel=1e-12)

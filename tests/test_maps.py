@@ -1,8 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from hcal.dataset import check_prob_matrix, softmax_rows
 from hcal.loss import brier_loss
 from hcal.maps import FAMILIES as MAP_FAMILIES
@@ -273,3 +277,96 @@ class TestModelFormat:
         path.write_bytes(struct.pack("<4sIIIIII", b"HMAP", 1, 7, 1, 0, 0, 0))
         with pytest.raises(ValueError, match="unknown family id 7"):
             load_map(path)
+
+
+SLOPES = (0.25, 0.5, 1.0, 2.0)  # powers of two: exp(log(s)) == s exactly
+BIASES = (-100.0, -3.0, -1.0, 0.0, 2.0, 3.0, 5.0)
+XS = (0.0, -0.0, -0.5, -1.0, -2.0, -4.0, -100.0, -150.5, -1e6, -1e17, -1e308)
+
+
+def net_of_lines(slopes, biases, groups):
+    return MonotonicNetMap(groups, len(slopes) // groups,
+                           params=np.concatenate([np.log(slopes), biases]))
+
+
+@st.composite
+def line_nets(draw):
+    groups, units = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    lines = st.lists(st.sampled_from(SLOPES), min_size=groups * units, max_size=groups * units)
+    offsets = st.lists(st.sampled_from(BIASES), min_size=groups * units, max_size=groups * units)
+    return net_of_lines(draw(lines), draw(offsets), groups)
+
+
+def crossings(cal_map):
+    """Each x <= 0 where two lines of one group meet, with its neighbours."""
+    a, b = cal_map._unpack()
+    out = []
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        for i in range(len(ak)):
+            for j in range(len(ak)):
+                if ak[i] < ak[j]:
+                    x = (bk[i] - bk[j]) / (ak[j] - ak[i])
+                    out += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+    return [x for x in out if x <= 0]
+
+
+def assert_matches_naive(cal_map, x):
+    y, cache = cal_map._transform(x)
+    want_y, want_active = oracles.naive_monotonic_transform(x, *cal_map._unpack())
+    np.testing.assert_array_equal(y.ravel(), want_y)
+    np.testing.assert_array_equal(np.signbit(y.ravel()), np.signbit(want_y))
+    np.testing.assert_array_equal(cache["active"], want_active)
+
+
+class TestMonotonicNetForward:
+    @settings(max_examples=400, deadline=None)
+    @given(cal_map=line_nets(), picks=st.lists(st.sampled_from(XS), max_size=8))
+    # three lines through (-2, 1)
+    @example(cal_map=net_of_lines([0.5, 1.0, 2.0], [2.0, 3.0, 5.0], 1), picks=[-2.0, 0.0])
+    @example(cal_map=net_of_lines([1.0], [0.0], 1), picks=[0.0, -1e17])  # K = J = 1
+    @example(cal_map=net_of_lines([1.0, 2.0, 0.5], [3.0, 3.0, 3.0], 3), picks=[-1.0])  # J = 1
+    @example(cal_map=net_of_lines([1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 2.0, 3.0], 2),
+             picks=[-0.0, -4.0])  # equal slopes, duplicate lines
+    def test_matches_naive_exactly(self, cal_map, picks):
+        x = np.array([0.0, *picks, *crossings(cal_map)])[:, None]
+        assert_matches_naive(cal_map, x)
+
+    @pytest.mark.parametrize("hyper", [(2, 2), (10, 10), (20, 20), (50, 50)])
+    def test_grid_sizes_match_naive(self, hyper, rng):
+        # at init every slope is 1; after Adam's first step three slopes remain
+        logits = rng.normal(0, 4, (20, 10))
+        x = logits - logits.max(axis=1, keepdims=True)
+        cal_map = init_map("monotonic_net", hyper, seed=3)
+        assert_matches_naive(cal_map, x)
+        n = cal_map.n_params // 2
+        cal_map.params[:n] = rng.choice([-0.005, 0.0, 0.005], n)
+        cal_map.params[n:] += rng.choice([-0.005, 0.005], n)
+        assert_matches_naive(cal_map, x)
+
+    def test_trained_like_net_matches_naive(self, rng):
+        cal_map = random_map("monotonic_net", (20, 20), rng, spread=0.3)
+        logits = rng.normal(0, 8, (100, 10))
+        assert_matches_naive(cal_map, logits - logits.max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("index, value", [(0, 1000.0), (0, np.inf), (4, np.nan)])
+    def test_non_finite_parameters_raise(self, index, value, rng):
+        # a raw slope of 1000 or inf makes an infinite slope; 0 * inf at
+        # x = 0 is NaN, as is a NaN bias
+        cal_map = init_map("monotonic_net", (2, 2), seed=0)
+        cal_map.params[index] = value
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+            cal_map.forward(rng.normal(0, 2, (30, 4)))
+
+    def test_workspace_bounded(self):
+        # 2e6 scalars through a 50x50 net: beyond its two outputs the forward
+        # holds at most 8e6 elements at once; a (groups, N*L) array alone
+        # would be 1e8
+        cal_map = MonotonicNetMap(50, 50, seed=0)
+        x = -np.random.default_rng(0).exponential(5.0, (200_000, 10))
+        tracemalloc.start()
+        try:
+            y, cache = cal_map._transform(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes - cache["active"].nbytes <= 8_000_000 * 8

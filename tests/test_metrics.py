@@ -240,6 +240,19 @@ class TestMmce:
         )
 
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_naive_on_ties(self, seed):
+        # confidences from three values, so most pairs tie; N from 1
+        gen = np.random.default_rng(seed)
+        n = 1 + 4 * seed
+        conf = gen.choice([0.5, 0.7, 0.9], n)
+        probs = np.stack([conf, 1.0 - conf], axis=1)
+        labels = gen.integers(0, 2, n)
+        assert mmce(probs, labels) == pytest.approx(
+            oracles.naive_mmce(probs, labels), rel=1e-12, abs=1e-12
+        )
+
+
 class TestKdeEce:
     def test_calibrated_limit_small(self):
         # accuracy identically equal to confidence: the regression curve sits
@@ -265,6 +278,18 @@ class TestKdeEce:
         v1 = kde_ece(probs, labels, grid_points=1024)
         v2 = kde_ece(probs, labels, grid_points=2048)
         assert abs(v1 - v2) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_naive(self, seed):
+        gen = np.random.default_rng(seed)
+        probs, labels = random_instance(gen, max_n=30, min_n=1)
+        assert kde_ece(probs, labels) == pytest.approx(
+            oracles.naive_kde_ece(probs, labels), rel=1e-10, abs=1e-15
+        )
+        assert kde_ece(probs, labels, bandwidth=0.05, grid_points=64) == pytest.approx(
+            oracles.naive_kde_ece(probs, labels, bandwidth=0.05, grid_points=64),
+            rel=1e-10, abs=1e-15,
+        )
 
     def test_bad_bandwidth_rejected(self, rng):
         probs, labels = random_instance(rng)
@@ -308,6 +333,20 @@ class TestTcwece:
         assert tcwece(probs, labels, threshold=0.0) == pytest.approx(
             cwece(probs, labels, "a", bins=15), rel=1e-12
         )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_naive(self, seed):
+        gen = np.random.default_rng(seed)
+        probs, labels = random_instance(gen, max_n=40, max_l=6)
+        for threshold, bins in ((None, 15), (0.0, 7), (0.3, 15)):
+            if not (probs > (threshold if threshold is not None else 1 / probs.shape[1])).any():
+                continue
+            assert tcwece(probs, labels, threshold, bins) == pytest.approx(
+                oracles.naive_tcwece(probs, labels, threshold, bins), rel=1e-12, abs=1e-15
+            )
+            assert tcwece_k(probs, labels, 4, threshold) == pytest.approx(
+                oracles.naive_tcwece(probs, labels, threshold, k=4), rel=1e-12, abs=1e-15
+            )
 
     def test_high_threshold_rejected(self):
         probs = np.full((5, 4), 0.25)

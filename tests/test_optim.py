@@ -238,6 +238,23 @@ class TestSelectModel:
         assert reports[0].selector_value == reports[1].selector_value
         assert best.hyper() == (2, 0)
 
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_selector_scores_the_best_monitor_forward(self, monkeypatch, epochs):
+        # full batch: E + 1 forwards per candidate, none more for the
+        # selector; the value equals a fresh forward's, bit for bit
+        calls = []
+        forward = EnsembleTempMap.forward
+        monkeypatch.setattr(EnsembleTempMap, "forward",
+                            lambda self, logits: calls.append(1) or forward(self, logits))
+        task, _ = make_calibrated_task(n=256, seed=10)
+        cfg = TrainConfig(seed=0, max_epochs=epochs, early_stop_patience=epochs + 1,
+                          selector_metric="ece_ew")
+        best, _, reports = select_model(task, [("ensemble_temp", 2), ("ensemble_temp", 3)],
+                                        HCalConfig(window=30), cfg)
+        assert len(calls) == 2 * (epochs + 1)
+        assert min(r.selector_value for r in reports) == ece(best.forward(task.logits).probs,
+                                                             task.labels)
+
     def test_forward_blow_up_marks_candidate_failed(self):
         # at lr=1000 the monotonic_net's first update makes its next forward
         # non-finite; the candidate fails and the grid goes on

@@ -37,8 +37,8 @@ def main() -> None:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ext = ".csv" if args.format == "csv" else ".bin"
-    save_dataset(task.train, out / f"train{ext}", format=args.format)
-    save_dataset(task.test, out / f"test{ext}", format=args.format)
+    save_dataset(task.train, out / f"train{ext}")
+    save_dataset(task.test, out / f"test{ext}")
     print(f"wrote {out / ('train' + ext)} (N={args.n_train}) and "
           f"{out / ('test' + ext)} (N={args.n_test}), L={args.classes}, "
           f"distortion 1/{args.temperature}")

@@ -9,7 +9,6 @@ lines) < command-line flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -21,7 +20,8 @@ from .dataset import LogitDataset, load_dataset, softmax_rows
 from .diagram import render_reliability_svg
 from .loss import HCalConfig
 from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
-from .metrics import DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric, reliability_data
+from .metrics import (DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric,
+                      reliability_data, write_csv)
 from .optim import TrainConfig, standard_grid, select_model, train_one
 
 
@@ -89,9 +89,12 @@ class RunConfig:
         return [(self.family, hyper if len(hyper) > 1 else hyper[0])]
 
     def metric_ids(self) -> list[str] | None:
+        """The ``--metrics`` ids, each checked; None when not given."""
         if self.metrics is None:
             return None
         ids = [m.strip() for m in self.metrics.split(",") if m.strip()]
+        if not ids:
+            raise ValueError(f"--metrics {self.metrics!r} names no metric id")
         for mid in ids:
             get_metric(mid)  # raises with the offending key
         return ids
@@ -249,12 +252,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = merge_config(args, keys=vars(args))  # the keys of its own flags
+    metric_ids = cfg.metric_ids()  # checked before any data loads
     test_ds, probs = _apply_model(args.model_path, args.test_path)
-    report = evaluate(
-        probs, test_ds.labels, cfg.metric_ids(),
-        metadata={"dataset": test_ds.name, "calibrator": args.model_path},
-        bins=cfg.bins,
-    )
+    report = evaluate(probs, test_ds.labels, metric_ids, bins=cfg.bins)
     print(report.to_table())
     if args.out:
         report.to_csv(args.out)
@@ -291,9 +291,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
     # options are checked before any data loads
     grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
+    metric_ids = cfg.metric_ids() or list(METRICS)
     train_ds = load_dataset(args.train_path)
     test_ds = load_dataset(args.test_path)
-    metric_ids = cfg.metric_ids() or list(METRICS)
 
     reports: dict[str, MetricReport] = {}
     uncal_report = evaluate(softmax_rows(test_ds.logits), test_ds.labels, metric_ids)
@@ -323,23 +323,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"{name.ljust(name_w)}  {mid.ljust(mid_w)}  {value:14.8f}  {rel:12.6f}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["calibrator", "metric", "value", "rel_to_uncal"])
-            for name, mid, value, rel in rows:
-                writer.writerow([name, mid, repr(value), repr(rel)])
+        write_csv(args.out, ["calibrator", "metric", "value", "rel_to_uncal"],
+                  [[name, mid, repr(value), repr(rel)] for name, mid, value, rel in rows])
         print(f"wrote {args.out}")
     return 0
-
-
-def read_compare_csv(path: str | Path) -> list[tuple[str, str, float, float]]:
-    """Parse the CSV written by ``compare`` back into rows."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["calibrator", "metric", "value", "rel_to_uncal"]:
-            raise ValueError(f"{path}: not a compare CSV")
-        return [(name, mid, float(v), float(r)) for name, mid, v, r in reader]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,7 +1,8 @@
 """Logit-label datasets: validated containers, file I/O, row softmax, splitting.
 
 Datasets hold pre-computed network logits; nothing here runs inference.
-Two interchange formats are supported:
+Two interchange formats, picked by the file suffix (``.csv`` in any case
+means CSV, anything else binary):
 
 * CSV with header ``logit_0,...,logit_{L-1},label`` (one sample per line,
   UTF-8, '.' decimal separator).
@@ -98,28 +99,21 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return (np.asarray(labels)[:, None] == np.arange(n_classes)).astype(np.float64)
 
 
-def _infer_format(path: Path) -> str:
-    return "csv" if path.suffix.lower() == ".csv" else "binary"
+def _is_csv(path: Path) -> bool:
+    return path.suffix.lower() == ".csv"
 
 
-def load_dataset(path: str | Path, format: str = "auto") -> LogitDataset:
-    """Load a logit-label dataset from CSV or binary, named after the file.
+def load_dataset(path: str | Path) -> LogitDataset:
+    """Load a logit-label dataset, named after the file: CSV for a ``.csv``
+    suffix (in any case), binary otherwise.
 
-    ``format="auto"`` picks CSV for a ``.csv`` suffix and binary otherwise.
     Errors carry the path and the offending data row index (blank CSV lines
     are not counted).
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    if format == "auto":
-        format = _infer_format(path)
-    if format == "csv":
-        logits, labels = _read_csv(path)
-    elif format == "binary":
-        logits, labels = _read_binary(path)
-    else:
-        raise ValueError(f"unknown dataset format {format!r}")
+    logits, labels = _read_csv(path) if _is_csv(path) else _read_binary(path)
     try:
         return LogitDataset(logits, labels, name=path.stem)
     except ValueError as exc:
@@ -179,26 +173,23 @@ def _read_binary(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return logits, labels
 
 
-def save_dataset(ds: LogitDataset, path: str | Path, format: str = "auto") -> None:
-    """Write a dataset in CSV or binary form (binary round-trips bit-exactly)."""
+def save_dataset(ds: LogitDataset, path: str | Path) -> None:
+    """Write a dataset as CSV for a ``.csv`` suffix, else binary (binary
+    round-trips bit-exactly)."""
     path = Path(path)
-    if format == "auto":
-        format = _infer_format(path)
-    if format == "csv":
+    if _is_csv(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join([f"logit_{i}" for i in range(ds.n_classes)] + ["label"]) + "\n")
             for row, lab in zip(ds.logits, ds.labels):
                 fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
-    elif format == "binary":
+    else:
         n, l = ds.logits.shape
         parts = [
             _HEADER.pack(_MAGIC, _VERSION, n, l),
             ds.logits.astype("<f4").tobytes(),
             ds.labels.astype("<u4").tobytes(),
         ]
-        Path(path).write_bytes(b"".join(parts))
-    else:
-        raise ValueError(f"unknown dataset format {format!r}")
+        path.write_bytes(b"".join(parts))
 
 
 def split_dataset(

@@ -261,12 +261,6 @@ def hcal_loss(
     )
 
 
-def frozen_structure(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig):
-    """Sort permutation and window weights at the current probabilities."""
-    ws, _, _ = build_windows(probs, labels, cfg.window)
-    return ws.perm, _window_weights(ws, cfg)
-
-
 NLL_CLAMP = 1e-12
 
 

@@ -144,7 +144,11 @@ class EnsembleTempMap(CalibrationMap):
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         logits = np.asarray(logits, dtype=np.float64)
         temps, w = self._unpack()
-        members = np.stack([softmax_rows(logits / t) for t in temps])  # (m, N, L)
+        # the (m, N, L) members: one buffer, softmaxed in place along the classes
+        members = logits / temps[:, None, None]
+        members -= members.max(axis=2, keepdims=True)
+        np.exp(members, out=members)
+        members /= members.sum(axis=2, keepdims=True)
         probs = np.einsum("k,kij->ij", w, members)
         self._check_finite(probs)
         return ForwardTrace(logits, probs, {"members": members, "temps": temps, "weights": w})

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import csv
 import inspect
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +72,14 @@ def _check_bins(bins: int) -> None:
         raise ValueError(f"bins must be >= 1, got {bins}")
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a report: UTF-8 CSV with LF (``"\\n"``) line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass
 class BinStats:
     """Per-bin reliability statistics for the top-label prediction."""
@@ -89,25 +96,14 @@ class BinStats:
     def n_bins(self) -> int:
         return self.counts.size
 
-    def to_csv(self, path: str | Path | None = None) -> str:
+    def to_csv(self, path: str | Path) -> None:
         """Bin table for external plotting (one row per bin)."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lower", "upper", "count", "mean_confidence", "accuracy"])
-        for m in range(self.n_bins):
-            writer.writerow([
-                repr(float(self.lower[m])),
-                repr(float(self.upper[m])),
-                int(self.counts[m]),
-                repr(float(self.mean_confidence[m])),
-                repr(float(self.accuracy[m])),
-            ])
-        writer.writerow(["overall", "", int(self.counts.sum()),
-                         repr(self.overall_confidence), repr(self.overall_accuracy)])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
+        rows = [[repr(float(self.lower[m])), repr(float(self.upper[m])), int(self.counts[m]),
+                 repr(float(self.mean_confidence[m])), repr(float(self.accuracy[m]))]
+                for m in range(self.n_bins)]
+        rows.append(["overall", "", int(self.counts.sum()),
+                     repr(self.overall_confidence), repr(self.overall_accuracy)])
+        write_csv(path, ["lower", "upper", "count", "mean_confidence", "accuracy"], rows)
 
 
 def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> BinStats:
@@ -516,26 +512,10 @@ class MetricReport:
     """Named metric values for one (dataset, calibrator) pair."""
 
     values: dict[str, float]
-    metadata: dict[str, str] = field(default_factory=dict)
 
-    def to_csv(self, path: str | Path | None = None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "value"])
-        for name, value in self.values.items():
-            writer.writerow([name, repr(float(value))])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
-
-    @classmethod
-    def from_csv(cls, source: str | Path) -> "MetricReport":
-        text = Path(source).read_text(encoding="utf-8") if isinstance(source, Path) else source
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["metric", "value"]:
-            raise ValueError("not a metric report CSV")
-        return cls(values={name: float(value) for name, value in rows[1:]})
+    def to_csv(self, path: str | Path) -> None:
+        write_csv(path, ["metric", "value"],
+                  [[name, repr(float(value))] for name, value in self.values.items()])
 
     def to_table(self) -> str:
         width = max((len(k) for k in self.values), default=6)
@@ -549,14 +529,12 @@ def evaluate(
     probs: np.ndarray,
     labels: np.ndarray,
     metric_ids: list[str] | None = None,
-    metadata: dict[str, str] | None = None,
     bins: int | None = None,
 ) -> MetricReport:
     """Compute the requested metrics (default: the whole registry).
 
     ``bins`` (>= 1) overrides the bin count of every binned metric (see
-    :data:`METRICS`; otherwise each uses its documented default); the value
-    used is recorded in metadata.
+    :data:`METRICS`; otherwise each uses its documented default).
     """
     ids = metric_ids if metric_ids is not None else list(METRICS)
     if bins is not None:
@@ -566,7 +544,4 @@ def evaluate(
         fn = get_metric(mid)
         binned = bins is not None and "bins" in inspect.signature(fn).parameters
         values[mid] = float(fn(probs, labels, bins=bins) if binned else fn(probs, labels))
-    meta = dict(metadata or {})
-    if bins is not None:
-        meta["bins"] = str(bins)
-    return MetricReport(values=values, metadata=meta)
+    return MetricReport(values=values)

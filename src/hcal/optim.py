@@ -11,7 +11,7 @@ import numpy as np
 from .dataset import LogitDataset, softmax_rows
 from .loss import LossOutput, resolve_loss
 from .maps import STANDARD_HYPER_GRID, CalibrationMap, hyper_tuple, init_map
-from .metrics import get_metric
+from .metrics import get_metric, write_csv
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -93,11 +93,8 @@ class TrainHistory:
     best_probs: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path) -> None:
-        lines = ["epoch,loss,metric,lr"]
-        for r in self.records:
-            lines.append(f"{r.epoch},{r.loss!r},{r.metric!r},{r.lr!r}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(path, ["epoch", "loss", "metric", "lr"],
+                  [[r.epoch, repr(r.loss), repr(r.metric), repr(r.lr)] for r in self.records])
 
 
 def _epoch_pass(

@@ -3,6 +3,9 @@
 Everything here is written with explicit Python loops and the most literal
 reading of each definition, deliberately avoiding the vectorized code paths
 of the package, so the two sides can only agree by computing the same thing.
+The last two helpers are the exceptions: ``frozen_structure`` reads the
+loss's own window structure, and ``naive_ensemble_temp_forward`` is the
+list-and-stack forward that the in-place one must match bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from hcal.dataset import softmax_rows
+from hcal.loss import _window_weights, build_windows
+from hcal.maps import ForwardTrace
 
 
 def bin_index_equal_width(value: float, bins: int) -> int:
@@ -342,3 +349,18 @@ def naive_monotonic_transform(x, a, b):
         values.append(best[0])
         active.append(best[1])
     return np.array(values), np.array(active, dtype=np.int64)
+
+
+def frozen_structure(probs, labels, cfg):
+    """Sort permutation and window weights the window loss uses at the
+    current probabilities."""
+    ws, _, _ = build_windows(probs, labels, cfg.window)
+    return ws.perm, _window_weights(ws, cfg)
+
+
+def naive_ensemble_temp_forward(cal_map, logits):
+    """The ensemble_temp forward as m separate softmaxes, stacked."""
+    temps, w = cal_map._unpack()
+    members = np.stack([softmax_rows(logits / t) for t in temps])  # (m, N, L)
+    probs = np.einsum("k,kij->ij", w, members)
+    return ForwardTrace(logits, probs, {"members": members, "temps": temps, "weights": w})

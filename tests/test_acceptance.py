@@ -21,7 +21,6 @@ from hcal.loss import (
     brier_loss,
     build_windows,
     event_indicators,
-    frozen_structure,
     hcal_loss,
     nll_loss,
     window_sums,
@@ -91,7 +90,7 @@ def _fd_instance(family, hyper, loss_kind, seed, h=1e-4):
 
     trace = cal_map.forward(logits)
     if loss_kind == "hcal":
-        perm, w = frozen_structure(trace.probs, labels, cfg)
+        perm, w = oracles.frozen_structure(trace.probs, labels, cfg)
         base_pattern = _sign_pattern(trace.probs, labels, cfg, perm)
         out = hcal_loss(trace.probs, labels, cfg, weights=w)
 

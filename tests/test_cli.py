@@ -1,3 +1,4 @@
+import csv
 import re
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hcal.cli import (
     build_parser,
     main,
     merge_config,
-    read_compare_csv,
     read_config_file,
 )
 from hcal.loss import HCalConfig
@@ -19,7 +19,7 @@ from hcal.optim import TrainConfig, standard_grid
 from hcal.dataset import LogitDataset, save_dataset, softmax_rows
 from hcal.diagram import render_reliability_svg
 from hcal.maps import load_map
-from hcal.metrics import MetricReport, ece, reliability_data
+from hcal.metrics import ece, reliability_data
 from hcal.synthetic import make_calibrated_task, make_overconfident_task
 
 
@@ -31,9 +31,28 @@ def small_task(tmp_path_factory):
     )
     train_path = root / "train.csv"
     test_path = root / "test.csv"
-    save_dataset(task.train, train_path, format="csv")
-    save_dataset(task.test, test_path, format="csv")
+    save_dataset(task.train, train_path)
+    save_dataset(task.test, test_path)
     return train_path, test_path
+
+
+def read_csv(path, header):
+    """The rows of a CSV report after its header, which must be ``header``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    return rows[1:]
+
+
+def report_values(path):
+    """The metric -> value mapping of an ``eval --out`` CSV."""
+    return {name: float(value) for name, value in read_csv(path, ["metric", "value"])}
+
+
+def compare_rows(path):
+    """The (calibrator, metric, value, rel_to_uncal) rows of a ``compare --out`` CSV."""
+    rows = read_csv(path, ["calibrator", "metric", "value", "rel_to_uncal"])
+    return [(name, mid, float(value), float(rel)) for name, mid, value, rel in rows]
 
 
 FAST_FLAGS = [
@@ -118,19 +137,18 @@ class TestEval:
             "--out", str(tmp_path / "r.csv"),
         ])
         assert rc == 0
-        report = MetricReport.from_csv(tmp_path / "r.csv")
-        assert list(report.values) == ["ece_ew", "cwece_a", "skce"]
+        assert list(report_values(tmp_path / "r.csv")) == ["ece_ew", "cwece_a", "skce"]
 
     def test_csv_values_match_direct_computation(self, small_task, tmp_path):
         _, test_path = small_task
         out = tmp_path / "direct.csv"
         main(["eval", "uncal", str(test_path), "--metrics", "ece_ew", "--out", str(out)])
-        report = MetricReport.from_csv(out)
+        values = report_values(out)
         task = make_overconfident_task(
             n_train=400, n_test=300, n_classes=4, temperature=0.5, seed=0
         )
         expected = ece(softmax_rows(task.test.logits), task.test.labels)
-        assert report.values["ece_ew"] == pytest.approx(expected, rel=1e-12)
+        assert values["ece_ew"] == pytest.approx(expected, rel=1e-12)
 
     def test_class_count_mismatch_detected(self, small_task, tmp_path, capsys):
         train_path, _ = small_task
@@ -142,10 +160,7 @@ class TestEval:
         ])
         other = tmp_path / "six.csv"
         rng = np.random.default_rng(0)
-        save_dataset(
-            LogitDataset(rng.normal(size=(20, 6)), rng.integers(0, 6, 20)),
-            other, format="csv",
-        )
+        save_dataset(LogitDataset(rng.normal(size=(20, 6)), rng.integers(0, 6, 20)), other)
         rc = main(["eval", str(model), str(other)])
         assert rc == 1
         assert "class-count mismatch" in capsys.readouterr().err
@@ -172,7 +187,7 @@ class TestDiagram:
         logits = np.log(probs)
         ds = LogitDataset(logits, labels)
         path = tmp_path / "p.csv"
-        save_dataset(ds, path, format="csv")
+        save_dataset(ds, path)
         svg = tmp_path / "p.svg"
         assert main(["diagram", "uncal", str(path), str(svg)]) == 0
         stats = reliability_data(softmax_rows(ds.logits), labels)
@@ -188,8 +203,8 @@ class TestDiagram:
         )
         train_path = tmp_path / "train.csv"
         test_path = tmp_path / "test.csv"
-        save_dataset(task.train, train_path, format="csv")
-        save_dataset(task.test, test_path, format="csv")
+        save_dataset(task.train, train_path)
+        save_dataset(task.test, test_path)
         model = tmp_path / "cal.hcal"
         main([
             "train", str(train_path), str(model),
@@ -221,7 +236,7 @@ class TestCompare:
             "--out", str(out),
         ])
         assert rc == 0
-        rows = read_compare_csv(out)
+        rows = compare_rows(out)
         assert len(rows) == 3
         assert all(rel == pytest.approx(1.0) for _, _, _, rel in rows)
 
@@ -250,7 +265,7 @@ class TestCompare:
             *FAST_FLAGS,
         ])
         assert rc == 0
-        rows = read_compare_csv(out)
+        rows = compare_rows(out)
         by_cal = {name: value for name, mid, value, _ in rows}
         assert by_cal["hcal"] < by_cal["uncal"]
         rel = {name: rel for name, _, _, rel in rows}
@@ -435,6 +450,49 @@ class TestBinsFlag:
         assert len(out.read_text(encoding="utf-8").splitlines()) == DEFAULT_BINS + 2
 
 
+class TestMetricsFlag:
+    @pytest.mark.parametrize("metrics", [",", " , ,"])
+    def test_eval_rejects_a_list_without_ids(self, metrics, small_task, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = main(["eval", "uncal", str(small_task[1]), "--metrics", metrics, "--out", str(out)])
+        assert rc == 1
+        assert "--metrics" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_rejects_a_list_without_ids(self, small_task, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", *map(str, small_task), "--calibrators", "uncal",
+                   "--metrics", ",", "--out", str(out)])
+        assert rc == 1
+        assert "--metrics" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_unknown_id_rejected_before_loading(self, command, tmp_path, capsys):
+        first = "uncal" if command == "eval" else str(tmp_path / "nope.csv")
+        rc = main([command, first, str(tmp_path / "missing.csv"), "--metrics", "ece_ew,bogus"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bogus" in err and "nope.csv" not in err and "missing.csv" not in err
+
+
+class TestLineEndings:
+    def test_every_csv_report_ends_lines_with_newline_only(self, small_task, tmp_path):
+        train_path, test_path = small_task
+        model = tmp_path / "m.hcal"
+        assert main(["train", str(train_path), str(model), "--family", "ensemble_temp",
+                     "--m", "1", "--selector-metric", "ece_ew", "--max-epochs", "3"]) == 0
+        assert main(["eval", str(model), str(test_path), "--metrics", "ece_ew,ks",
+                     "--out", str(tmp_path / "eval.csv")]) == 0
+        assert main(["diagram", str(model), str(test_path), str(tmp_path / "d.svg"),
+                     "--out", str(tmp_path / "diagram.csv")]) == 0
+        assert main(["compare", str(train_path), str(test_path), "--calibrators", "uncal",
+                     "--metrics", "ece_ew,ks", "--out", str(tmp_path / "compare.csv")]) == 0
+        for name in ("m.hcal.history.csv", "eval.csv", "diagram.csv", "compare.csv"):
+            raw = (tmp_path / name).read_bytes()
+            assert raw.endswith(b"\n") and b"\r" not in raw, name
+
+
 LOSS_FLAGS = {"--epsilon": "0.01", "--window": "50", "--multiplier": "10", "--clusters": "4",
               "--norm": "squared", "--weighting": "uniform"}
 
@@ -524,10 +582,10 @@ class TestConfigKeysPerCommand:
         out = tmp_path / "e.csv"
         assert main(["eval", "uncal", str(small_task[1]), "--config", str(conf),
                      "--out", str(out)]) == 0
-        report = MetricReport.from_csv(out)
+        values = report_values(out)
         task = make_overconfident_task(n_train=400, n_test=300, n_classes=4, temperature=0.5,
                                        seed=0)
         probs = softmax_rows(task.test.logits)
-        assert list(report.values) == ["ece_ew"]
-        assert report.values["ece_ew"] == pytest.approx(ece(probs, task.test.labels, bins=7),
+        assert list(values) == ["ece_ew"]
+        assert values["ece_ew"] == pytest.approx(ece(probs, task.test.labels, bins=7),
                                                         rel=1e-12)

@@ -97,19 +97,19 @@ class TestBinaryFormat:
         labels = rng.integers(0, 7, size=64)
         ds = LogitDataset(logits, labels)
         path = tmp_path / "data.bin"
-        save_dataset(ds, path, format="binary")
-        loaded = load_dataset(path, format="binary")
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
         assert np.array_equal(loaded.logits, ds.logits)
         assert np.array_equal(loaded.labels, ds.labels)
         # a second save produces identical bytes
         path2 = tmp_path / "data2.bin"
-        save_dataset(loaded, path2, format="binary")
+        save_dataset(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_header_layout(self, tmp_path):
         ds = LogitDataset(np.zeros((2, 3)), np.array([0, 2]))
         path = tmp_path / "data.bin"
-        save_dataset(ds, path, format="binary")
+        save_dataset(ds, path)
         raw = path.read_bytes()
         assert raw[:4] == b"HCAL"
         assert int.from_bytes(raw[4:8], "little") == 1
@@ -121,15 +121,15 @@ class TestBinaryFormat:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"JUNK" + bytes(12))
         with pytest.raises(DatasetFormatError, match="magic"):
-            load_dataset(path, format="binary")
+            load_dataset(path)
 
     def test_truncated(self, tmp_path, rng):
         ds = LogitDataset(rng.normal(size=(4, 2)), rng.integers(0, 2, 4))
         path = tmp_path / "data.bin"
-        save_dataset(ds, path, format="binary")
+        save_dataset(ds, path)
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(DatasetFormatError, match="bytes"):
-            load_dataset(path, format="binary")
+            load_dataset(path)
 
     @pytest.mark.parametrize("logit, label, message", [
         (0.5, 3, "label out of range at row 1: 3 not in [0, 3)"),
@@ -148,10 +148,20 @@ class TestBinaryFormat:
     def test_csv_round_trip_values(self, tmp_path, rng):
         ds = LogitDataset(rng.normal(size=(10, 3)), rng.integers(0, 3, 10))
         path = tmp_path / "data.csv"
-        save_dataset(ds, path, format="csv")
+        save_dataset(ds, path)
         loaded = load_dataset(path)
         assert np.array_equal(loaded.logits, ds.logits)
         assert np.array_equal(loaded.labels, ds.labels)
+
+    @pytest.mark.parametrize("name, is_csv", [("d.csv", True), ("d.CSV", True),
+                                               ("d.bin", False), ("d.csv.gz", False)])
+    def test_suffix_picks_the_format(self, tmp_path, rng, name, is_csv):
+        ds = LogitDataset(rng.normal(size=(5, 3)).astype(np.float32), rng.integers(0, 3, 5))
+        path = tmp_path / name
+        save_dataset(ds, path)
+        assert path.read_bytes().startswith(b"logit_0,") == is_csv
+        assert path.read_bytes().startswith(b"HCAL") != is_csv
+        assert np.array_equal(load_dataset(path).logits, ds.logits)
 
     def test_benchmark_export_shape(self, tmp_path, rng):
         # the shape of a standard ten-class benchmark test export
@@ -160,7 +170,7 @@ class TestBinaryFormat:
             rng.integers(0, 10, 10000),
         )
         path = tmp_path / "bench.bin"
-        save_dataset(ds, path, format="binary")
+        save_dataset(ds, path)
         loaded = load_dataset(path)
         assert (loaded.n_samples, loaded.n_classes) == (10000, 10)
 

@@ -8,7 +8,6 @@ from hcal.loss import (
     HCalConfig,
     brier_loss,
     build_windows,
-    frozen_structure,
     hcal_loss,
     kmeans_1d,
     kmeans_weights,
@@ -230,7 +229,7 @@ class TestHcalLoss:
         diff = (window_sums(a, 3) - window_sums(b, 3)) / 3
         if np.min(np.abs(np.abs(diff) - cfg.epsilon)) < 1e-3:
             pytest.skip("instance sits on a hinge kink; FD not meaningful there")
-        perm, weights = frozen_structure(probs, labels, cfg)
+        perm, weights = oracles.frozen_structure(probs, labels, cfg)
         out = hcal_loss(probs, labels, cfg, weights=weights)
         # the frozen loss is piecewise linear in p, so a larger step loses no
         # accuracy and divides the float64 cancellation noise

@@ -370,3 +370,36 @@ class TestMonotonicNetForward:
         finally:
             tracemalloc.stop()
         assert peak - y.nbytes - cache["active"].nbytes <= 8_000_000 * 8
+
+
+class TestEnsembleTempForward:
+    @pytest.mark.parametrize("m", [1, 3, 16, 128])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("l", [2, 10, 100])
+    def test_matches_list_and_stack_exactly(self, m, n, l):
+        # raw temperatures of +-3 and logits up to +-50: some rows underflow in exp
+        gen = np.random.default_rng(1000 * m + 10 * n + l)
+        cal_map = EnsembleTempMap(m, params=np.concatenate(
+            [gen.uniform(-3.0, 3.0, m), gen.normal(0.0, 1.0, m)]))
+        logits = gen.uniform(-50.0, 50.0, (n, l))
+        trace = cal_map.forward(logits)
+        want = oracles.naive_ensemble_temp_forward(cal_map, logits)
+        assert np.array_equal(trace.probs, want.probs)
+        assert np.array_equal(trace.cache["members"], want.cache["members"])
+        upstream = gen.normal(0.0, 1.0, (n, l))
+        for got, expected in zip(cal_map.backward(trace, upstream),
+                                 cal_map.backward(want, upstream)):
+            assert np.array_equal(got, expected)
+
+    def test_one_member_buffer_alive(self):
+        # m=128 on 500x100 logits: the forward peaks at one (m, N, L) array
+        # plus a few (N, L)-sized ones, not the two copies a stack makes
+        cal_map = EnsembleTempMap(128, params=np.random.default_rng(0).normal(0, 1, 256))
+        logits = np.random.default_rng(1).normal(0, 4, (500, 100))
+        tracemalloc.start()
+        try:
+            cal_map.forward(logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 128 * logits.nbytes

@@ -1,3 +1,4 @@
+import csv
 import inspect
 
 import numpy as np
@@ -9,7 +10,6 @@ from hcal.loss import kmeans_1d
 from hcal.maps import init_map
 from hcal.metrics import (
     METRICS,
-    MetricReport,
     accuracy,
     ace,
     cwece,
@@ -524,10 +524,9 @@ class TestPerfectPredictionInvariant:
 
 
 class TestBinsOverride:
-    def test_evaluate_bins_override_and_metadata(self, rng):
+    def test_evaluate_bins_override(self, rng):
         probs, labels = random_instance(rng, min_n=40, max_n=80)
         report = evaluate(probs, labels, ["ece_ew", "cwece_s"], bins=10)
-        assert report.metadata["bins"] == "10"
         assert report.values["ece_ew"] == pytest.approx(
             ece(probs, labels, "equal_width", bins=10), abs=1e-15
         )
@@ -614,8 +613,10 @@ class TestRegistryAndReport:
         report = evaluate(probs, labels, ["ece_ew", "cwece_a", "skce"])
         path = tmp_path / "report.csv"
         report.to_csv(path)
-        loaded = MetricReport.from_csv(path)
-        assert loaded.values == report.values
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["metric", "value"]
+        assert {name: float(value) for name, value in rows[1:]} == report.values
 
     def test_unknown_metric_rejected(self, rng):
         probs, labels = random_instance(rng)

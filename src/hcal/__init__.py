@@ -5,6 +5,8 @@ training objective with proper-scoring-rule baselines, a full calibration
 metric suite, and a CLI for training, evaluating, and reporting.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dataset import (
     LogitDataset,
     check_prob_matrix,
@@ -49,43 +51,6 @@ from .synthetic import make_calibrated_task, make_overconfident_task
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState",
-    "BinStats",
-    "CalibrationMap",
-    "EnsembleTempMap",
-    "ForwardTrace",
-    "HCalConfig",
-    "LogitDataset",
-    "LossOutput",
-    "MetricReport",
-    "MonotonicNetMap",
-    "PiecewiseLinearMap",
-    "TrainConfig",
-    "TrainHistory",
-    "TrainingDivergedError",
-    "adam_step",
-    "brier_loss",
-    "build_windows",
-    "check_prob_matrix",
-    "evaluate",
-    "get_metric",
-    "hcal_loss",
-    "init_map",
-    "kmeans_1d",
-    "kmeans_weights",
-    "load_dataset",
-    "load_map",
-    "make_calibrated_task",
-    "make_overconfident_task",
-    "nll_loss",
-    "standard_grid",
-    "reliability_data",
-    "save_dataset",
-    "save_map",
-    "select_model",
-    "softmax_rows",
-    "split_dataset",
-    "train_one",
-    "window_sums",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

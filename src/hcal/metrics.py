@@ -29,6 +29,8 @@ CWECE_S_BINS = DEFAULT_BINS - 1  # keeps cwece_s distinct from cwece_a
 MMCE_BANDWIDTH = 0.4
 SKCE_BANDWIDTH = 1.0
 DKDE_BANDWIDTH = 1.0
+_SKCE_BLOCK = _DKDE_BLOCK = 32  # samples per block of the pairwise kernels
+_SWEEP_SCREEN, _SWEEP_CELLS = 8, 1 << 18  # sweep_ece: first screen depth, bounds per pass
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])  # elementwise log-gamma
 
 
@@ -200,31 +202,49 @@ def ace(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> floa
     return float(np.abs(acc - conf).mean())
 
 
-def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
-    """Equal-mass ECE at the largest bin count with monotone bin accuracies.
+def _monotone_bin_count(csum_k: np.ndarray) -> int:
+    """Largest equal-mass bin count with non-decreasing bin accuracies, from
+    the cumulative correctness (leading 0) in ascending confidence order.
 
-    Scans bin counts from N downward and stops at the first count whose
-    bin-wise accuracies are non-decreasing in confidence order (count 1 is
-    always monotone, so the scan terminates).
+    A count whose first ``width`` bins decrease is not monotone, so the
+    largest counts (``_SWEEP_CELLS`` bounds' worth) are screened on their
+    first ``width`` bins at once; while the largest survivor has more bins
+    than that, ``width`` grows 8x.  Count 1 always survives.
     """
+    n = csum_k.size - 1
+    cand = np.arange(n, 0, -1)
+    width = _SWEEP_SCREEN
+    while True:
+        head = cand[:max(_SWEEP_CELLS // (width + 1), 1), None]
+        bounds = (np.minimum(np.arange(width + 1), head) * n) // head  # bins past b are empty
+        with np.errstate(invalid="ignore"):  # 0/0 = NaN for empty bins never compares < 0
+            accs = np.diff(csum_k[bounds], axis=1) / np.diff(bounds, axis=1)
+        keep = ~(np.diff(accs, axis=1) < 0).any(axis=1)
+        cand = np.concatenate([head[keep, 0], cand[head.shape[0]:]])
+        if keep.any():
+            if cand[0] <= width:
+                return int(cand[0])
+            width *= _SWEEP_SCREEN
+
+
+def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
+    """Equal-mass ECE at the largest bin count whose bin accuracies are
+    non-decreasing in confidence order, found by screening the counts on
+    their first bins and checking only survivors deeper
+    (:func:`_monotone_bin_count`)."""
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
     n = conf.size
     order = np.argsort(conf, kind="stable")
-    c, k = conf[order], correct[order]
-    csum_k = np.concatenate([[0.0], np.cumsum(k)])
-    csum_c = np.concatenate([[0.0], np.cumsum(c)])
-    for b in range(n, 0, -1):
-        bounds = equal_mass_bounds(n, b)
-        sizes = np.diff(bounds)
-        accs = np.diff(csum_k[bounds]) / sizes
-        if np.all(np.diff(accs) >= 0):
-            gaps = np.abs(accs - np.diff(csum_c[bounds]) / sizes)
-            w = sizes / n
-            if r == 1:
-                return float(w @ gaps)
-            return float(np.sqrt(w @ (gaps * gaps)))
-    raise AssertionError("unreachable: a single bin is always monotone")
+    csum_k = np.concatenate([[0.0], np.cumsum(correct[order])])
+    csum_c = np.concatenate([[0.0], np.cumsum(conf[order])])
+    bounds = equal_mass_bounds(n, _monotone_bin_count(csum_k))
+    sizes = np.diff(bounds)
+    gaps = np.abs(np.diff(csum_k[bounds]) / sizes - np.diff(csum_c[bounds]) / sizes)
+    w = sizes / n
+    if r == 1:
+        return float(w @ gaps)
+    return float(np.sqrt(w @ (gaps * gaps)))
 
 
 def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -282,8 +302,11 @@ def kde_ece(
     if bandwidth <= 0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     grid = np.linspace(1.0 / n_classes, 1.0, grid_points)
-    t = (grid[:, None] - conf[None, :]) / bandwidth
-    kmat = np.exp(-0.5 * t * t)  # unnormalized Gaussian
+    kmat = np.subtract.outer(grid, conf)  # unnormalized Gaussian, built in place
+    kmat /= bandwidth
+    kmat *= kmat
+    kmat *= -0.5
+    np.exp(kmat, out=kmat)
     denom = kmat.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         pi = np.where(denom > 0, kmat @ correct / np.maximum(denom, 1e-300), 0.0)
@@ -404,24 +427,28 @@ def skce(probs: np.ndarray, labels: np.ndarray) -> float:
     Matrix kernel = exp(-||p - p'||_1 / bw) * identity, bw = SKCE_BANDWIDTH,
     so each pair contributes exp(-||p_i - p_j||_1 / bw) <e_i - p_i, e_j - p_j>.
     The unbiased estimator averages over the N(N-1)/2 unordered pairs and may
-    be negative.
+    be negative.  Row block [s, s + B) meets only columns s..N-1, its L1
+    distances summed class by class into one (B, N - s) buffer.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
     if n < 2:
         raise ValueError("SKCE needs at least 2 samples")
     resid = one_hot(labels, n_classes) - probs
+    by_class = probs.T.copy()  # contiguous columns for the class-wise distance
     total = 0.0
-    block = 256
-    for s in range(0, n, block):
-        pb = probs[s:s + block]
-        l1 = np.abs(pb[:, None, :] - probs[None, :, :]).sum(axis=2)
-        kmat = np.exp(-l1 / SKCE_BANDWIDTH)
-        inner = resid[s:s + block] @ resid.T
-        contrib = kmat * inner
+    for s in range(0, n, _SKCE_BLOCK):
+        e = min(s + _SKCE_BLOCK, n)
+        kmat = np.zeros((e - s, n - s))
+        work = np.empty_like(kmat)
+        for c in range(n_classes):
+            np.subtract.outer(by_class[c, s:e], by_class[c, s:], out=work)
+            kmat += np.abs(work, out=work)
+        np.divide(kmat, -SKCE_BANDWIDTH, out=kmat)
+        np.exp(kmat, out=kmat)
+        kmat *= np.matmul(resid[s:e], resid[s:].T, out=work)
         # keep strictly upper-triangular pairs (global i < j)
-        rows = np.arange(s, min(s + block, n))[:, None]
-        total += float(contrib[rows < np.arange(n)[None, :]].sum())
+        total += float(np.triu(kmat, 1).sum())
     return float(total / (n * (n - 1) / 2))
 
 
@@ -431,7 +458,9 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
 
     Kernels (bandwidth ``DKDE_BANDWIDTH``) are evaluated in the log domain
     (lgamma) so large class counts do not overflow; probabilities are
-    clamped at 1e-12 and renormalized for the kernel only.
+    clamped at 1e-12 and renormalized for the kernel only.  Sample j's
+    leave-one-out shift and normalization use only its own row of weights,
+    so blocks of j are exact on their own.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
@@ -443,15 +472,20 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     # log K(a_j ; b_i) = lgamma(L + sum alpha_i) - sum lgamma(1 + alpha_i)
     #                    + sum alpha_i * log a_j
     const_i = _lgamma(n_classes + alpha.sum(axis=1)) - _lgamma(1.0 + alpha).sum(axis=1)
-    logk = const_i[:, None] + alpha @ np.log(safe).T  # [i, j]
-    np.fill_diagonal(logk, -np.inf)
-    logk -= logk.max(axis=0, keepdims=True)  # stabilize per column j
-    w = np.exp(logk)
-    w /= w.sum(axis=0, keepdims=True)
-    pi = w.T @ one_hot(labels, n_classes)  # [j, L] leave-one-out estimate
+    log_safe = np.log(safe)
+    events = one_hot(labels, n_classes)
+    pi = np.empty_like(probs)  # [j, L] leave-one-out estimate
+    for s in range(0, n, _DKDE_BLOCK):
+        e = min(s + _DKDE_BLOCK, n)
+        logk = log_safe[s:e] @ alpha.T  # [j, i]
+        logk += const_i
+        logk[np.arange(e - s), np.arange(s, e)] = -np.inf  # leave j out
+        logk -= logk.max(axis=1, keepdims=True)  # stabilize per sample j
+        np.exp(logk, out=logk)
+        logk /= logk.sum(axis=1, keepdims=True)
+        pi[s:e] = logk @ events
     diff = probs - pi
     return float((diff * diff).sum(axis=1).mean())
-
 
 
 # ---------------------------------------------------------------------------

@@ -102,17 +102,24 @@ def naive_ace(probs, labels, bins=15):
     return sum(gaps) / len(gaps)
 
 
-def naive_sweep_ece(probs, labels, r=1):
+def naive_monotone_bin_count(probs, labels):
+    """Largest equal-mass bin count whose bin accuracies never decrease, from
+    every count checked in full."""
     pairs = top_label_pairs(probs, labels)
-    n = len(pairs)
     best_b = 1
-    for b in range(1, n + 1):
+    for b in range(1, len(pairs) + 1):
         groups = equal_mass_groups(pairs, b)
         accs = [sum(c for _, c in g) / len(g) for g in groups]
         if all(accs[i] <= accs[i + 1] for i in range(len(accs) - 1)):
             best_b = max(best_b, b)
+    return best_b
+
+
+def naive_sweep_ece(probs, labels, r=1):
+    pairs = top_label_pairs(probs, labels)
+    n = len(pairs)
     total = 0.0
-    for g in equal_mass_groups(pairs, best_b):
+    for g in equal_mass_groups(pairs, naive_monotone_bin_count(probs, labels)):
         acc = sum(c for _, c in g) / len(g)
         conf = sum(c for c, _ in g) / len(g)
         gap = abs(acc - conf)

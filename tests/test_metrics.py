@@ -1,10 +1,15 @@
 import csv
 import inspect
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from hcal import metrics as metrics_mod
 from hcal.dataset import softmax_rows
 from hcal.loss import kmeans_1d
 from hcal.maps import init_map
@@ -46,6 +51,49 @@ FOUR_SAMPLE_PROBS = np.array(
     [[0.9, 0.1], [0.9, 0.1], [0.6, 0.4], [0.6, 0.4]]
 )
 FOUR_SAMPLE_LABELS = np.array([0, 1, 0, 0])  # correctness 1,0,1,1
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def block_edge_instance(n, n_classes=4):
+    """Dirichlet rows where every third row from 1 is near one-hot and every
+    third row from 2 repeats the row before it."""
+    gen = np.random.default_rng(n)
+    probs = gen.dirichlet(np.ones(n_classes), size=n)
+    probs[1::3] = gen.dirichlet(np.full(n_classes, 0.02), size=probs[1::3].shape[0])
+    probs[2::3] = probs[1::3][:probs[2::3].shape[0]]
+    return probs, gen.integers(0, n_classes, size=n)
+
+
+BLOCK = 4  # small block for the edge tests; N below covers 2, 3, B-1, B, B+1, 2B+3
+BLOCK_EDGE_N = sorted({2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3})
+
+
+@st.composite
+def sweep_cases(draw):
+    """Two-class rows with few distinct confidences (heavy ties), and
+    correctness that is random, all correct, all wrong, or non-decreasing in
+    stable confidence order (so every bin count is monotone)."""
+    n = draw(st.integers(1, 60))
+    levels = draw(st.integers(1, 200))
+    conf = 0.5 + 0.5 * np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n))) / levels
+    kind = draw(st.sampled_from(["random", "all_correct", "all_wrong", "sorted"]))
+    if kind == "random":
+        correct = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif kind == "sorted":
+        correct = np.empty(n, dtype=bool)
+        correct[np.argsort(conf, kind="stable")] = np.arange(n) >= draw(st.integers(0, n))
+    else:
+        correct = np.full(n, kind == "all_correct")
+    return np.stack([conf, 1 - conf], axis=1), np.where(correct, 0, 1), kind
 
 
 class TestEce:
@@ -186,6 +234,24 @@ class TestSweepEce:
             oracles.naive_sweep_ece(probs, labels, r=2), abs=1e-12
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=sweep_cases(), cells=st.sampled_from([None, 1, 40]))
+    def test_screen_matches_full_scan(self, case, cells):
+        # cells=1 screens one count per pass; cells=40 splits the counts into heads
+        probs, labels, kind = case
+        cells = metrics_mod._SWEEP_CELLS if cells is None else cells
+        conf, correct = metrics_mod.top_label(probs, labels)
+        csum_k = np.concatenate([[0.0], np.cumsum(correct[np.argsort(conf, kind="stable")])])
+        want = oracles.naive_monotone_bin_count(probs, labels)
+        with mock.patch.object(metrics_mod, "_SWEEP_CELLS", cells):
+            assert metrics_mod._monotone_bin_count(csum_k) == want
+            for r in (1, 2):
+                assert sweep_ece(probs, labels, r=r) == pytest.approx(
+                    oracles.naive_sweep_ece(probs, labels, r=r), abs=1e-12
+                )
+        if kind != "random":
+            assert want == len(labels)  # the screen prunes nothing
+
 
 class TestKsError:
     def test_perfect_confident_predictions(self):
@@ -296,6 +362,13 @@ class TestKdeEce:
         with pytest.raises(ValueError, match="bandwidth"):
             kde_ece(probs, labels, bandwidth=0.0)
 
+    def test_workspace_one_grid_array(self):
+        # N=1e4: one (1024, N) kernel array alive, not three
+        gen = np.random.default_rng(0)
+        probs = gen.dirichlet(np.ones(10), size=10_000)
+        labels = gen.integers(0, 10, 10_000)
+        assert traced_peak(kde_ece, probs, labels) <= 1.1 * 1024 * 10_000 * 8
+
 
 class TestCwece:
     def test_perfect_zero_all_variants(self):
@@ -405,6 +478,23 @@ class TestSkce:
             oracles.naive_skce(probs, labels), abs=1e-9
         )
 
+    @pytest.mark.parametrize("n", BLOCK_EDGE_N)
+    def test_block_edges_match_naive(self, n, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_SKCE_BLOCK", BLOCK)
+        probs, labels = block_edge_instance(n)
+        assert skce(probs, labels) == pytest.approx(
+            oracles.naive_skce(probs, labels), rel=1e-12, abs=1e-15
+        )
+
+    def test_workspace_bounded(self):
+        # N=4000, L=10: a few (block, N) arrays, not a (block, N, L) temporary
+        gen = np.random.default_rng(0)
+        n, l = 4000, 10
+        probs = gen.dirichlet(np.ones(l), size=n)
+        labels = gen.integers(0, l, n)
+        bound = 4 * metrics_mod._SKCE_BLOCK * n * 8 + 6 * n * l * 8
+        assert traced_peak(skce, probs, labels) <= bound
+
 
 class TestDkdeCe:
     def test_two_identical_rows_hand_trace(self):
@@ -452,6 +542,23 @@ class TestDkdeCe:
         assert dkde_ce(probs, labels) == pytest.approx(
             oracles.naive_dkde_ce(probs, labels), rel=1e-10
         )
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_N)
+    def test_block_edges_match_naive(self, n, monkeypatch):
+        monkeypatch.setattr(metrics_mod, "_DKDE_BLOCK", BLOCK)
+        probs, labels = block_edge_instance(n)
+        assert dkde_ce(probs, labels) == pytest.approx(
+            oracles.naive_dkde_ce(probs, labels), rel=1e-12
+        )
+
+    def test_workspace_bounded(self):
+        # N=6000: a (block, N) array at a time, not two N x N ones
+        gen = np.random.default_rng(0)
+        n, l = 6000, 10
+        probs = gen.dirichlet(np.ones(l), size=n)
+        labels = gen.integers(0, l, n)
+        bound = 2 * metrics_mod._DKDE_BLOCK * n * 8 + 12 * n * l * 8
+        assert traced_peak(dkde_ce, probs, labels) <= bound
 
 
 class TestReliabilityData:

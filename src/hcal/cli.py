@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import LogitDataset, load_dataset, softmax_rows
 from .diagram import render_reliability_svg
-from .loss import HCalConfig
+from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
 from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
 from .metrics import (DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric,
                       reliability_data, write_csv)
@@ -27,6 +27,7 @@ from .optim import TrainConfig, standard_grid, select_model, train_one
 
 _LOSS_KEYS = {f.name for f in fields(HCalConfig)}
 _SIZE_KEYS = [name for cls in FAMILIES.values() for name in cls.hyper_names]
+_COMPARE_CALIBRATORS = ("uncal", "hcal", "nll_ts", "brier_ts")
 
 
 @dataclass
@@ -54,8 +55,9 @@ class RunConfig:
         loss_keys = {k: v for k, v in self.overrides.items() if k in _LOSS_KEYS}
         if self.loss == "hcal":
             return HCalConfig(**loss_keys)
-        if self.loss not in ("nll", "brier"):
-            raise ValueError(f"unknown loss {self.loss!r} (choose hcal, nll, or brier)")
+        if self.loss not in BASELINE_LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r} "
+                             f"(choose {', '.join(LOSSES[:-1])}, or {LOSSES[-1]})")
         if loss_keys:
             raise ValueError(f"--{next(iter(loss_keys))} is an option of the hcal loss; "
                              f"it does not apply to --loss {self.loss}")
@@ -122,7 +124,11 @@ def read_config_file(path: str | Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = CONFIG_KEYS[key](value)
+        try:
+            out[key] = CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not a valid "
+                             f"{CONFIG_KEYS[key].__name__}") from None
     return out
 
 
@@ -154,13 +160,13 @@ def _add_common(p: argparse.ArgumentParser, trains: bool) -> None:
 
 
 def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "loss", choices=["hcal", "nll", "brier"])
+    _flag(p, "loss", choices=LOSSES)
     _flag(p, "epsilon", help="calibration error bound")
     _flag(p, "window", help="events per constraint window")
     _flag(p, "multiplier", help="loss scale factor")
     _flag(p, "clusters", help="k-means clusters for window weighting")
-    _flag(p, "norm", choices=["abs", "squared"])
-    _flag(p, "weighting", choices=["adaptive", "uniform"])
+    _flag(p, "norm", choices=NORMS)
+    _flag(p, "weighting", choices=WEIGHTINGS)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -210,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--metrics", help="comma-separated metric ids")
     p_cmp.add_argument(
         "--calibrators",
-        default="uncal,hcal,nll_ts,brier_ts",
-        help="comma-separated subset of uncal,hcal,nll_ts,brier_ts",
+        default=",".join(_COMPARE_CALIBRATORS),
+        help=f"comma-separated subset of {','.join(_COMPARE_CALIBRATORS)}",
     )
     return parser
 
@@ -274,9 +280,6 @@ def cmd_diagram(args: argparse.Namespace) -> int:
         stats.to_csv(args.out)
         print(f"wrote {args.out}")
     return 0
-
-
-_COMPARE_CALIBRATORS = ("uncal", "hcal", "nll_ts", "brier_ts")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -8,6 +8,8 @@ byte-identical files, so diagrams are diffable in tests.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .metrics import BinStats
@@ -31,7 +33,7 @@ def render_reliability_svg(stats: BinStats, title: str = "reliability") -> str:
         f'viewBox="0 0 {_W:.0f} {_H:.0f}">',
         f'<rect width="{_W:.0f}" height="{_H:.0f}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="30" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>',
+        f'font-size="16">{escape(title)}</text>',
     ]
     # axes
     parts.append(

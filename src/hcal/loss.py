@@ -22,6 +22,8 @@ import numpy as np
 from .dataset import one_hot
 
 KMEANS_MAX_ITER = 100
+NORMS = ("abs", "squared")
+WEIGHTINGS = ("adaptive", "uniform")
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class HCalConfig:
     window: int = 200
     multiplier: float = 1e5
     clusters: int = 15
-    norm: str = "abs"  # "abs" | "squared"
-    weighting: str = "adaptive"  # "adaptive" | "uniform"
+    norm: str = "abs"  # one of NORMS
+    weighting: str = "adaptive"  # one of WEIGHTINGS
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
@@ -51,10 +53,10 @@ class HCalConfig:
             raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
-        if self.norm not in ("abs", "squared"):
-            raise ValueError(f"norm must be 'abs' or 'squared', got {self.norm!r}")
-        if self.weighting not in ("adaptive", "uniform"):
-            raise ValueError(f"weighting must be 'adaptive' or 'uniform', got {self.weighting!r}")
+        for name, allowed in (("norm", NORMS), ("weighting", WEIGHTINGS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 @dataclass
@@ -265,7 +267,7 @@ NLL_CLAMP = 1e-12
 
 
 def nll_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
-    """Mean negative log-likelihood; probabilities clamped below at 1e-12."""
+    """Mean negative log-likelihood; probabilities floored at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
     labels = np.asarray(labels)
@@ -285,12 +287,14 @@ def brier_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
     return LossOutput(value=value, prob_grad=2.0 * resid / (n * l))
 
 
+BASELINE_LOSSES = {"nll": nll_loss, "brier": brier_loss}
+LOSSES = ("hcal", *BASELINE_LOSSES)  # hcal is given as an HCalConfig, the rest by name
+
+
 def resolve_loss(spec):
-    """Map a loss spec (HCalConfig | 'nll' | 'brier') to a callable."""
+    """Map a loss spec (an HCalConfig or a BASELINE_LOSSES name) to a callable."""
     if isinstance(spec, HCalConfig):
         return lambda probs, labels: hcal_loss(probs, labels, spec)
-    if spec == "nll":
-        return nll_loss
-    if spec == "brier":
-        return brier_loss
+    if isinstance(spec, str) and spec in BASELINE_LOSSES:
+        return BASELINE_LOSSES[spec]
     raise ValueError(f"unknown loss spec {spec!r}")

@@ -14,7 +14,8 @@ parameter value, hence argmax (accuracy) preserving:
 
 Positivity is enforced by exp-reparameterization, so the flat parameter
 vector is unconstrained and Adam-friendly.  ``forward`` returns a trace
-caching everything ``backward`` needs.
+caching everything ``backward`` needs.  ``backward`` returns the gradient
+of the flat parameters only: in post-hoc recalibration the logits are fixed.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class CalibrationMap:
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         raise NotImplementedError
 
-    def backward(self, trace: ForwardTrace, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, trace: ForwardTrace, upstream: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def clone(self) -> "CalibrationMap":
@@ -164,13 +165,11 @@ class EnsembleTempMap(CalibrationMap):
         raw_w_grad = w * (dw - float(w @ dw))
 
         raw_t_grad = np.empty(self.m)
-        dlogits = np.zeros_like(logits)
         for k in range(self.m):
             dz = _softmax_backward(members[k], w[k] * upstream)
             # z = logits / T_k: dT flows through -logits / T^2, raw grad is dT * T
             raw_t_grad[k] = float((dz * (-logits / temps[k])).sum())
-            dlogits += dz / temps[k]
-        return np.concatenate([raw_t_grad, raw_w_grad]), dlogits
+        return np.concatenate([raw_t_grad, raw_w_grad])
 
 
 class ScalarTransformMap(CalibrationMap):
@@ -179,35 +178,29 @@ class ScalarTransformMap(CalibrationMap):
     softmax.
 
     Subclasses implement ``_transform(x) -> (y, cache)`` and
-    ``_transform_backward(cache, dy) -> (param_grad, dx)``, where ``dx`` is
-    a new array; the base owns the normalization, the softmax, the
-    finiteness check and their backward passes.
+    ``_transform_backward(cache, dy) -> param_grad``; the base owns the
+    normalization, the softmax, the finiteness check and the softmax
+    backward.  Only the parameter gradient is returned: the logits are
+    fixed inputs of post-hoc recalibration.
     """
 
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         logits = np.asarray(logits, dtype=np.float64)
-        argmax_idx = logits.argmax(axis=1)
-        x = logits - logits[np.arange(len(logits)), argmax_idx][:, None]
-        y, cache = self._transform(x)
+        y, cache = self._transform(logits - logits.max(axis=1, keepdims=True))
         probs = softmax_rows(y)
         self._check_finite(probs)
-        cache["argmax_idx"] = argmax_idx
         return ForwardTrace(logits, probs, cache)
 
     def backward(self, trace, upstream):
         self._check_trace(trace, upstream)
-        dy = _softmax_backward(trace.probs, upstream)
-        param_grad, dx = self._transform_backward(trace.cache, dy)
-        # x = logits - logits[argmax]: the argmax column also carries -sum(dx)
-        np.subtract.at(dx, (np.arange(dx.shape[0]), trace.cache["argmax_idx"]), dx.sum(axis=1))
-        return param_grad, dx
+        return self._transform_backward(trace.cache, _softmax_backward(trace.probs, upstream))
 
 
 class PiecewiseLinearMap(ScalarTransformMap):
     """Continuous piecewise-linear transform over [-100, 0], then softmax.
 
     The row max is subtracted so inputs land in (-inf, 0]; anything below
-    -100 is clamped to the domain edge.  params = raw slopes (z), segment
+    -100 is clipped to the domain edge.  params = raw slopes (z), segment
     slope s_j = exp(raw_j) > 0; all-ones slopes give the identity transform.
     """
 
@@ -232,8 +225,7 @@ class PiecewiseLinearMap(ScalarTransformMap):
         knots = -PIECEWISE_RANGE + self.seg_width * np.arange(self.z)
         cum = np.concatenate([[0.0], np.cumsum(slopes) * self.seg_width])
         y = -PIECEWISE_RANGE + cum[seg] + slopes[seg] * (xc - knots[seg])
-        return y, {"xc": xc, "seg": seg, "knots": knots, "slopes": slopes,
-                   "clamped": x < -PIECEWISE_RANGE}
+        return y, {"xc": xc, "seg": seg, "knots": knots, "slopes": slopes}
 
     def _transform_backward(self, cache, dy):
         xc, seg, knots, slopes = cache["xc"], cache["seg"], cache["knots"], cache["slopes"]
@@ -246,9 +238,7 @@ class PiecewiseLinearMap(ScalarTransformMap):
             seg_flat, weights=dy_flat * (xc.ravel() - knots[seg_flat]), minlength=self.z
         )
         slope_grad = self.seg_width * suffix + partial
-        dx = dy * slopes[seg]
-        dx[cache["clamped"]] = 0.0
-        return slopes * slope_grad, dx
+        return slopes * slope_grad
 
 
 class MonotonicNetMap(ScalarTransformMap):
@@ -343,8 +333,7 @@ class MonotonicNetMap(ScalarTransformMap):
         dy_flat = dy.ravel()
         da = np.bincount(active, weights=dy_flat * x.ravel(), minlength=n)
         db = np.bincount(active, weights=dy_flat, minlength=n)
-        dx = (dy_flat * a.ravel()[active]).reshape(x.shape)
-        return np.concatenate([a.ravel() * da, db]), dx
+        return np.concatenate([a.ravel() * da, db])
 
 
 _SCALAR_BLOCK = 1 << 16  # scalars per sorted block of the envelope forward

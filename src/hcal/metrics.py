@@ -458,7 +458,7 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
 
     Kernels (bandwidth ``DKDE_BANDWIDTH``) are evaluated in the log domain
     (lgamma) so large class counts do not overflow; probabilities are
-    clamped at 1e-12 and renormalized for the kernel only.  Sample j's
+    floored at 1e-12 and renormalized for the kernel only.  Sample j's
     leave-one-out shift and normalization use only its own row of weights,
     so blocks of j are exact on their own.
     """

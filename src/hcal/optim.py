@@ -124,7 +124,7 @@ def _epoch_pass(
             raise TrainingDivergedError(
                 f"non-finite loss at step {state.step + 1} (family {cal_map.family})"
             )
-        pgrad, _ = cal_map.backward(trace, out.prob_grad)
+        pgrad = cal_map.backward(trace, out.prob_grad)
         trace = None
         cal_map.params = adam_step(cal_map.params, pgrad, state, lr)
         total += out.value * len(idx)

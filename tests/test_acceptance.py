@@ -106,7 +106,7 @@ def _fd_instance(family, hyper, loss_kind, seed, h=1e-4):
         out = brier_loss(trace.probs, labels)
         loss_at = lambda p: brier_loss(p, labels).value
 
-    pgrad, _ = cal_map.backward(trace, out.prob_grad)
+    pgrad = cal_map.backward(trace, out.prob_grad)
     p0 = cal_map.params.copy()
     fd = np.zeros_like(pgrad)
     try:

@@ -1,5 +1,7 @@
 import csv
 import re
+import shutil
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hcal.cli import (
     merge_config,
     read_config_file,
 )
-from hcal.loss import HCalConfig
+from hcal.loss import LOSSES, NORMS, WEIGHTINGS, HCalConfig
 from hcal.metrics import DEFAULT_BINS
 from hcal.optim import TrainConfig, standard_grid
 from hcal.dataset import LogitDataset, save_dataset, softmax_rows
@@ -180,6 +182,17 @@ class TestDiagram:
         assert main(["diagram", "uncal", str(test_path), str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_title_with_markup_characters_is_escaped(self, small_task, tmp_path):
+        # the title holds the dataset's file name; '&' and '<' must not break the XML
+        _, test_path = small_task
+        odd = tmp_path / "r&d<1>.csv"
+        shutil.copy(test_path, odd)
+        svg = tmp_path / "odd.svg"
+        assert main(["diagram", "uncal", str(odd), str(svg)]) == 0
+        root = ET.parse(svg).getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert titles[0] == "r&d<1> / uncal"
+
     def test_perfect_predictions_on_diagonal(self, tmp_path):
         labels = np.arange(30) % 3
         probs = np.full((30, 3), 1e-9)
@@ -317,6 +330,41 @@ class TestConfigFile:
         conf.write_text("windows 30\n", encoding="utf-8")
         with pytest.raises(ValueError, match="key = value"):
             read_config_file(conf)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("lr", "fast", "float"),
+        ("window", "2.5", "int"),
+        ("max_epochs", "1e3", "int"),
+    ])
+    def test_bad_value_names_file_line_and_key(self, key, value, kind, tmp_path):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"# header\n{key} = {value}\n", encoding="utf-8")
+        expected = f"{conf}:2: {key} = {value!r} is not a valid {kind}"
+        with pytest.raises(ValueError) as exc:
+            read_config_file(conf)
+        assert str(exc.value) == expected
+
+
+class TestChoiceSets:
+    def test_flag_choices_come_from_the_declarations(self):
+        train = build_parser()._subparsers._group_actions[0].choices["train"]
+        choices = {a.dest: a.choices for a in train._actions if a.choices}
+        assert tuple(choices["loss"]) == LOSSES == ("hcal", "nll", "brier")
+        assert tuple(choices["norm"]) == NORMS
+        assert tuple(choices["weighting"]) == WEIGHTINGS
+
+    def test_messages_list_every_choice(self):
+        with pytest.raises(ValueError, match=re.escape("'x' (choose hcal, nll, or brier)")):
+            RunConfig(loss="x").loss_spec()
+        with pytest.raises(ValueError, match="norm must be 'abs' or 'squared', got 'x'"):
+            HCalConfig(norm="x")
+        with pytest.raises(ValueError,
+                           match="weighting must be 'adaptive' or 'uniform', got 'x'"):
+            HCalConfig(weighting="x")
+        compare = build_parser()._subparsers._group_actions[0].choices["compare"]
+        (calibrators,) = [a for a in compare._actions if a.dest == "calibrators"]
+        assert calibrators.default == "uncal,hcal,nll_ts,brier_ts"
+        assert calibrators.help == "comma-separated subset of uncal,hcal,nll_ts,brier_ts"
 
 
 class TestDiagramUnit:

@@ -22,5 +22,10 @@ def test_import_loads_no_scipy():
 def test_pyproject_depends_on_numpy_only():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
-    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in re.findall(r'"([^"]+)"', block)]
+    deps = re.findall(r'"([^"]+)"', block)
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in deps]
     assert names == ["numpy"]
+    # metrics.kde_ece calls np.trapezoid, which numpy first shipped in 2.0
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", deps[0])
+    assert floor is not None, deps[0]
+    assert tuple(map(int, floor.groups())) >= (2, 0)

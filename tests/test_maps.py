@@ -125,27 +125,18 @@ class TestBackward:
             cal_map = random_map(family, hyper, rng)
             logits = rng.normal(0, 2, (9, 4))
             trace = cal_map.forward(logits)
-            pgrad, lgrad = cal_map.backward(trace, np.zeros_like(trace.probs))
+            pgrad = cal_map.backward(trace, np.zeros_like(trace.probs))
+            # the parameter gradient alone: the logits are fixed inputs
+            assert isinstance(pgrad, np.ndarray)
+            assert pgrad.dtype == np.float64
+            assert pgrad.shape == (cal_map.n_params,)
             assert np.all(pgrad == 0)
-            assert np.all(lgrad == 0)
 
     def test_shape_mismatch_rejected(self, rng):
         cal_map = random_map("ensemble_temp", 2, rng)
         trace = cal_map.forward(rng.normal(0, 1, (5, 3)))
         with pytest.raises(ValueError, match="shape"):
             cal_map.backward(trace, np.zeros((4, 3)))
-
-    def test_single_temperature_logit_grad_is_softmax_jacobian(self, rng):
-        # m=1, T=1: the map is exactly row softmax, so the logit gradient must
-        # equal the closed-form softmax Jacobian product s * (u - <u, s>)
-        cal_map = EnsembleTempMap(1)
-        logits = rng.normal(0, 2, (12, 5))
-        trace = cal_map.forward(logits)
-        upstream = rng.normal(0, 1, trace.probs.shape)
-        _, lgrad = cal_map.backward(trace, upstream)
-        s = softmax_rows(logits)
-        expected = s * (upstream - (upstream * s).sum(axis=1, keepdims=True))
-        np.testing.assert_allclose(lgrad, expected, rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("family,hyper", FAMILIES)
     def test_param_grad_matches_fd_through_brier(self, family, hyper, rng):
@@ -158,7 +149,7 @@ class TestBackward:
             labels = rng.integers(0, 4, 11)
             trace = cal_map.forward(logits)
             out = brier_loss(trace.probs, labels)
-            pgrad, _ = cal_map.backward(trace, out.prob_grad)
+            pgrad = cal_map.backward(trace, out.prob_grad)
             p0 = cal_map.params.copy()
             fd = np.zeros_like(pgrad)
             for i in range(cal_map.n_params):
@@ -173,27 +164,6 @@ class TestBackward:
             scale = max(np.abs(fd).max(), np.abs(pgrad).max(), 1e-8)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(pgrad)), 1e-6 * scale)
             assert np.max(np.abs(fd - pgrad) / denom) < 1e-4
-
-    @pytest.mark.parametrize("family,hyper", FAMILIES)
-    def test_logit_grad_matches_fd(self, family, hyper, rng):
-        h = 1e-6
-        cal_map = random_map(family, hyper, rng, spread=0.3)
-        logits = rng.normal(0, 2, (6, 3))
-        labels = rng.integers(0, 3, 6)
-        trace = cal_map.forward(logits)
-        out = brier_loss(trace.probs, labels)
-        _, lgrad = cal_map.backward(trace, out.prob_grad)
-        fd = np.zeros_like(lgrad)
-        for i in range(logits.shape[0]):
-            for j in range(logits.shape[1]):
-                bump = np.zeros_like(logits)
-                bump[i, j] = h
-                fplus = brier_loss(cal_map.forward(logits + bump).probs, labels).value
-                fminus = brier_loss(cal_map.forward(logits - bump).probs, labels).value
-                fd[i, j] = (fplus - fminus) / (2 * h)
-        scale = max(np.abs(fd).max(), np.abs(lgrad).max(), 1e-8)
-        denom = np.maximum(np.maximum(np.abs(fd), np.abs(lgrad)), 1e-5 * scale)
-        assert np.max(np.abs(fd - lgrad) / denom) < 1e-3
 
 
 class TestSerialization:
@@ -387,9 +357,8 @@ class TestEnsembleTempForward:
         assert np.array_equal(trace.probs, want.probs)
         assert np.array_equal(trace.cache["members"], want.cache["members"])
         upstream = gen.normal(0.0, 1.0, (n, l))
-        for got, expected in zip(cal_map.backward(trace, upstream),
-                                 cal_map.backward(want, upstream)):
-            assert np.array_equal(got, expected)
+        assert np.array_equal(cal_map.backward(trace, upstream),
+                              cal_map.backward(want, upstream))
 
     def test_one_member_buffer_alive(self):
         # m=128 on 500x100 logits: the forward peaks at one (m, N, L) array

@@ -54,6 +54,11 @@ class LogitDataset:
         if not np.all(np.isfinite(logits)):
             bad = int(np.argwhere(~np.isfinite(logits))[0][0])
             raise ValueError(f"non-finite logit at row {bad}")
+        if labels.dtype.kind == "f":
+            fractional = labels != np.floor(labels)  # NaN included
+            if fractional.any():
+                bad = int(np.argmax(fractional))
+                raise ValueError(f"label not a whole number at row {bad}: {labels[bad]}")
         if labels.min() < 0 or labels.max() >= l:
             bad = int(np.argwhere((labels < 0) | (labels >= l))[0][0])
             raise ValueError(

@@ -28,10 +28,9 @@ WEIGHTINGS = ("adaptive", "uniform")
 
 @dataclass(frozen=True)
 class HCalConfig:
-    """Hyperparameters of the window-alignment loss.
+    """Hyperparameters of the window-alignment loss; the defaults are the
+    standard training configuration.
 
-    Defaults are the standard training configuration: epsilon = 1e-20,
-    window M = 200, multiplier r = 1e5, C = 15 clusters, adaptive weighting.
     ``norm="squared"`` switches the hinge to a squared mean gap with epsilon
     forced to 0; combined with window=1 and uniform weighting this reduces to
     r times the Brier score.
@@ -49,32 +48,14 @@ class HCalConfig:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.multiplier <= 0:
-            raise ValueError(f"multiplier must be > 0, got {self.multiplier}")
+        if not 0 < self.multiplier < np.inf:
+            raise ValueError(f"multiplier must be finite and > 0, got {self.multiplier}")
         if self.clusters < 1:
             raise ValueError(f"clusters must be >= 1, got {self.clusters}")
         for name, allowed in (("norm", NORMS), ("weighting", WEIGHTINGS)):
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
-
-
-@dataclass
-class WindowSet:
-    """Sorted atomic-event probabilities and the permutation that sorts them.
-
-    ``perm`` maps sorted position -> flat (sample * L + class) index; ties are
-    broken by that flat index (stable sort), so results are deterministic.
-    All length-``window`` runs at stride 1 form the constraint windows.
-    """
-
-    sorted_values: np.ndarray
-    perm: np.ndarray
-    window: int
-
-    @property
-    def n_windows(self) -> int:
-        return self.sorted_values.size - self.window + 1
 
 
 @dataclass
@@ -85,32 +66,23 @@ class LossOutput:
     max_window_violation: float = 0.0
 
 
-def event_indicators(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Flat 0/1 vector: entry (i * L + l) is 1 iff sample i has label l."""
-    return (np.asarray(labels)[:, None] == np.arange(n_classes)[None, :]).ravel()
+def build_windows(probs: np.ndarray, labels: np.ndarray,
+                  window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort the atomic-event probabilities and take every window's gap.
 
-
-def build_windows(
-    probs: np.ndarray, labels: np.ndarray, window: int, perm: np.ndarray | None = None
-) -> tuple[WindowSet, np.ndarray, np.ndarray]:
-    """Sort atomic-event probabilities; return per-position summand vectors.
-
-    At sorted position j holding probability p for event (i, {l}):
-    a_j = (1 - p) * 1{Y_i = l} and b_j = p * 1{Y_i != l}.  Sliding sums of
-    ``a`` and ``b`` are exactly the two tallies whose gap the loss bounds.
-    A given ``perm`` replaces the sort order (a frozen structure).
+    Returns ``(perm, sorted_probs, gaps)``: ``perm`` maps sorted position to
+    flat (sample * L + class) index, ties broken by that index (stable sort);
+    ``gaps[j]`` is the mean event indicator minus the mean probability over
+    sorted positions j .. j + window - 1.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, l = probs.shape
     if window > n * l:
         raise ValueError(f"window {window} exceeds the {n * l} atomic events")
-    flat = probs.ravel()
-    perm = np.argsort(flat, kind="stable") if perm is None else perm
-    q = flat[perm]
-    ev = event_indicators(labels, l)[perm]
-    a = (1.0 - q) * ev
-    b = q * (~ev)
-    return WindowSet(q, perm, window), a, b
+    perm = np.argsort(probs.ravel(), kind="stable")
+    q = probs.ravel()[perm]
+    gaps = window_sums(one_hot(labels, l).ravel()[perm] - q, window) / window
+    return perm, q, gaps
 
 
 def window_sums(vec: np.ndarray, window: int) -> np.ndarray:
@@ -203,58 +175,40 @@ def kmeans_weights(window_centroids: np.ndarray, clusters: int) -> np.ndarray:
     return 1.0 / (clusters * counts[assign])
 
 
-def _window_weights(ws: WindowSet, cfg: HCalConfig) -> np.ndarray:
-    if cfg.weighting == "uniform":
-        return np.full(ws.n_windows, 1.0 / ws.n_windows)
-    centroids = window_sums(ws.sorted_values, ws.window) / ws.window
-    return kmeans_weights(centroids, cfg.clusters)
-
-
-def hcal_loss(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    cfg: HCalConfig,
-    weights: np.ndarray | None = None,
-    perm: np.ndarray | None = None,
-) -> LossOutput:
-    """Window-alignment loss with subgradients w.r.t. the probabilities.
-
-    ``perm`` and ``weights`` fix the event order and the window weights (the
-    frozen structure the gradient differentiates); by default they come from
-    sorting and ``cfg.weighting``.
-    """
+def hcal_loss(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig) -> LossOutput:
+    """Window-alignment loss with subgradients w.r.t. the probabilities; a
+    window's gap is its mean event indicator minus its mean probability."""
     probs = np.asarray(probs, dtype=np.float64)
-    ws, a, b = build_windows(probs, labels, cfg.window, perm)
     m = cfg.window
-    diff = (window_sums(a, m) - window_sums(b, m)) / m
-
-    if weights is None:
-        weights = _window_weights(ws, cfg)
-    elif weights.size != ws.n_windows:
-        raise ValueError(f"got {weights.size} weights for {ws.n_windows} windows")
+    perm, q, gaps = build_windows(probs, labels, m)
+    if cfg.weighting == "uniform":
+        weights = np.full(gaps.size, 1.0 / gaps.size)
+    else:
+        weights = kmeans_weights(window_sums(q, m) / m, cfg.clusters)
 
     if cfg.norm == "squared":
         # squared variant: epsilon pinned to 0 so the objective is a plain
         # weighted mean of squared window gaps
-        per_window = diff * diff
-        dper = 2.0 * diff / m
-        active = diff != 0.0
-        max_violation = float(np.abs(diff).max()) if diff.size else 0.0
+        per_window = gaps * gaps
+        dper = 2.0 * gaps / m
+        active = gaps != 0.0
+        max_violation = float(np.abs(gaps).max())
     else:
-        violation = np.abs(diff) - cfg.epsilon
+        violation = np.abs(gaps) - cfg.epsilon
         per_window = np.maximum(violation, 0.0)
         active = violation > 0.0
-        dper = np.where(active, np.sign(diff) / m, 0.0)
-        max_violation = float(per_window.max()) if per_window.size else 0.0
+        dper = np.where(active, np.sign(gaps) / m, 0.0)
+        max_violation = float(per_window.max())
 
     value = cfg.multiplier * float(weights @ per_window)
 
-    # dvalue/dV1 per window; position j collects every window covering it,
-    # windows j - M + 1 .. j, which are the length-M runs of g padded with zeros
+    # g is dvalue/d(gap * M) per window, the gap being mean event minus mean
+    # probability; position j collects every window covering it, windows
+    # j - M + 1 .. j, which are the length-M runs of g padded with zeros
     g = cfg.multiplier * weights * dper
     cover = window_sums(np.pad(g, m - 1), m)
     prob_grad_flat = np.zeros(probs.size)
-    prob_grad_flat[ws.perm] = -cover  # d(a_j - b_j)/dp_j = -1 regardless of the event bit
+    prob_grad_flat[perm] = -cover  # d(event_j - q_j)/dq_j = -1 regardless of the event bit
     return LossOutput(
         value=value,
         prob_grad=prob_grad_flat.reshape(probs.shape),

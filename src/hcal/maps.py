@@ -384,6 +384,9 @@ def init_map(family: str, hyper, seed: int = 0) -> CalibrationMap:
         raise ValueError(f"unknown mapping family {family!r}")
     cls = FAMILIES[family]
     sizes = tuple(int(h) for h in hyper_tuple(hyper))
+    if len(sizes) != len(cls.hyper_names):
+        names = ", ".join(cls.hyper_names)
+        raise ValueError(f"{family} takes the sizes ({names}), got {hyper!r}")
     if (sizes if len(sizes) > 1 else sizes[0]) not in STANDARD_HYPER_GRID[family]:
         warnings.warn(
             f"{family} hyper {hyper!r} is outside the standard grid "

@@ -42,8 +42,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 < self.scheduler_factor < 1:
             raise ValueError("scheduler_factor must be in (0, 1)")
         if self.scheduler_patience < 1 or self.early_stop_patience < 1:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from hcal.dataset import softmax_rows
-from hcal.loss import _window_weights, build_windows
+from hcal.loss import build_windows, kmeans_weights, window_sums
 from hcal.maps import ForwardTrace
 
 
@@ -317,25 +317,30 @@ def naive_kmeans_1d(values, k, max_iter=100):
     return centers, final
 
 
-def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None):
-    """Direct evaluation of the window objective from its definition."""
+def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None, perm=None):
+    """Direct evaluation of the window objective from its definition, every
+    sum correctly rounded; a given ``perm`` (sorted position -> flat index)
+    replaces the sort order."""
     probs = np.asarray(probs)
     n, n_classes = probs.shape
-    entries = []  # (prob, flat_index, event)
+    entries = []  # (prob, flat_index, event), by flat index
     for i in range(n):
         for l in range(n_classes):
             entries.append((probs[i, l], i * n_classes + l, labels[i] == l))
-    entries.sort(key=lambda t: (t[0], t[1]))
+    if perm is None:
+        entries.sort(key=lambda t: (t[0], t[1]))
+    else:
+        entries = [entries[k] for k in perm]
     nw = len(entries) - window + 1
     if weights is None:
         weights = [1.0 / nw] * nw
-    total = 0.0
+    terms = []
     for w0 in range(nw):
         run = entries[w0:w0 + window]
-        t1 = sum((1 - p) for p, _, ev in run if ev)
-        t2 = sum(p for p, _, ev in run if not ev)
-        total += weights[w0] * max(abs(t1 - t2) / window - epsilon, 0.0)
-    return multiplier * total
+        t1 = math.fsum((1 - p) for p, _, ev in run if ev)
+        t2 = math.fsum(p for p, _, ev in run if not ev)
+        terms.append(weights[w0] * max(abs(t1 - t2) / window - epsilon, 0.0))
+    return multiplier * math.fsum(terms)
 
 
 def naive_monotonic_transform(x, a, b):
@@ -361,8 +366,11 @@ def naive_monotonic_transform(x, a, b):
 def frozen_structure(probs, labels, cfg):
     """Sort permutation and window weights the window loss uses at the
     current probabilities."""
-    ws, _, _ = build_windows(probs, labels, cfg.window)
-    return ws.perm, _window_weights(ws, cfg)
+    perm, sorted_probs, gaps = build_windows(probs, labels, cfg.window)
+    if cfg.weighting == "uniform":
+        return perm, np.full(gaps.size, 1.0 / gaps.size)
+    centroids = window_sums(sorted_probs, cfg.window) / cfg.window
+    return perm, kmeans_weights(centroids, cfg.clusters)
 
 
 def naive_ensemble_temp_forward(cal_map, logits):

@@ -20,10 +20,8 @@ from hcal.loss import (
     HCalConfig,
     brier_loss,
     build_windows,
-    event_indicators,
     hcal_loss,
     nll_loss,
-    window_sums,
 )
 from hcal.maps import EnsembleTempMap, init_map
 from hcal.metrics import ece, sweep_ece, tcwece
@@ -67,14 +65,10 @@ def test_criterion_1_brier_degeneracy():
 # criterion 2: gradient correctness
 
 
-def _sign_pattern(probs, labels, cfg, perm):
-    l = probs.shape[1]
-    q = probs.ravel()[perm]
-    ev = event_indicators(labels, l)[perm]
-    diff = (
-        window_sums((1 - q) * ev, cfg.window) - window_sums(q * (~ev), cfg.window)
-    ) / cfg.window
-    return np.where((np.abs(diff) - cfg.epsilon) > 0, np.sign(diff), 0.0)
+def _structure(probs, labels, cfg):
+    """Sort order and per-window hinge sign at ``probs``."""
+    perm, _, gaps = build_windows(probs, labels, cfg.window)
+    return perm, np.where((np.abs(gaps) - cfg.epsilon) > 0, np.sign(gaps), 0.0)
 
 
 def _fd_instance(family, hyper, loss_kind, seed, h=1e-4):
@@ -91,13 +85,14 @@ def _fd_instance(family, hyper, loss_kind, seed, h=1e-4):
     trace = cal_map.forward(logits)
     if loss_kind == "hcal":
         perm, w = oracles.frozen_structure(trace.probs, labels, cfg)
-        base_pattern = _sign_pattern(trace.probs, labels, cfg, perm)
-        out = hcal_loss(trace.probs, labels, cfg, weights=w)
+        base = _structure(trace.probs, labels, cfg)
+        out = hcal_loss(trace.probs, labels, cfg)
 
         def loss_at(p):
-            if not np.array_equal(_sign_pattern(p, labels, cfg, perm), base_pattern):
+            if not all(map(np.array_equal, _structure(p, labels, cfg), base)):
                 raise _KinkCrossed
-            return hcal_loss(p, labels, cfg, w, perm).value
+            return oracles.naive_hcal_loss(p, labels, cfg.epsilon, cfg.window, cfg.multiplier,
+                                           w, perm)
 
     elif loss_kind == "nll":
         out = nll_loss(trace.probs, labels)
@@ -302,25 +297,17 @@ def test_criterion_6_zero_loss_alignment():
     out = hcal_loss(probs, labels, cfg)
     assert out.value == 0.0
 
-    # direct recomputation of the window alignment property
-    ws, _, _ = build_windows(probs, labels, m)
-    ev = event_indicators(labels, 2)[ws.perm].astype(float)
-    for j in range(ws.n_windows):
-        gap = abs(ev[j:j + m].mean() - ws.sorted_values[j:j + m].mean())
-        assert gap <= cfg.epsilon + 1e-15
+    # every window's mean event indicator equals its mean probability
+    _, _, gaps = build_windows(probs, labels, m)
+    assert np.all(np.abs(gaps) <= cfg.epsilon + 1e-15)
 
     # contrapositive sanity: a nonzero loss exhibits a violating window
     probs_bad = probs.copy()
     probs_bad[:, 0], probs_bad[:, 1] = 0.9, 0.1
     out_bad = hcal_loss(probs_bad, labels, cfg)
     assert out_bad.value > 0
-    ws_b, a_b, b_b = build_windows(probs_bad, labels, m)
-    ev_b = event_indicators(labels, 2)[ws_b.perm].astype(float)
-    gaps = [
-        abs(ev_b[j:j + m].mean() - ws_b.sorted_values[j:j + m].mean())
-        for j in range(ws_b.n_windows)
-    ]
-    assert max(gaps) > cfg.epsilon
+    _, _, gaps_bad = build_windows(probs_bad, labels, m)
+    assert np.abs(gaps_bad).max() > cfg.epsilon
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report("criterion 6 (zero-loss alignment)",

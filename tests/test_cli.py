@@ -570,6 +570,18 @@ class TestLossFlags:
         assert "--window" in err and "nope.csv" not in err
 
 
+class TestStepSizeFlags:
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("flag", ["--lr", "--multiplier"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rejected_before_loading(self, command, flag, value, tmp_path, capsys):
+        rc = main([command, str(tmp_path / "nope.csv"), str(tmp_path / "x"), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be finite and > 0, got {value}" in err
+        assert "nope.csv" not in err
+
+
 # option strings of each command, in --help order
 COMMAND_OPTIONS = {
     "train": ["--help", "train_path", "model_path", "--config", "--seed", "--out", "--loss",

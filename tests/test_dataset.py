@@ -34,6 +34,16 @@ class TestLogitDataset:
         with pytest.raises(ValueError, match="label out of range at row 2"):
             LogitDataset(np.zeros((3, 3)), np.array([0, 1, 5]))
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, np.nan])
+    def test_rejects_label_that_is_not_whole(self, bad):
+        with pytest.raises(ValueError, match="label not a whole number at row 1"):
+            LogitDataset(np.zeros((3, 3)), np.array([0.0, bad, 2.0]))
+
+    def test_whole_valued_float_labels_load(self):
+        ds = LogitDataset(np.zeros((3, 3)), np.array([0.0, 2.0, 1.0]))
+        np.testing.assert_array_equal(ds.labels, [0, 2, 1])
+        assert ds.labels.dtype == np.int64
+
     def test_rejects_single_class(self):
         with pytest.raises(ValueError, match="2 classes"):
             LogitDataset(np.zeros((3, 1)), np.array([0, 0, 0]))

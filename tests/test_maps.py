@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -50,6 +51,15 @@ class TestInit:
             PiecewiseLinearMap(0)
         with pytest.raises(ValueError):
             MonotonicNetMap(0, 5)
+
+    @pytest.mark.parametrize("family,hyper,names", [
+        ("monotonic_net", 10, "(groups, units)"),
+        ("ensemble_temp", (16, 2), "(m)"),
+        ("piecewise_linear", (), "(z)"),
+    ])
+    def test_wrong_number_of_sizes_rejected(self, family, hyper, names):
+        with pytest.raises(ValueError, match=re.escape(f"{family} takes the sizes {names}")):
+            init_map(family, hyper, seed=0)
 
     def test_off_grid_hyper_warns(self):
         with pytest.warns(UserWarning, match="outside the standard grid"):

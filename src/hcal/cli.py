@@ -22,7 +22,7 @@ from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
 from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
 from .metrics import (DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric,
                       reliability_data, write_csv)
-from .optim import TrainConfig, standard_grid, select_model, train_one
+from .optim import TrainConfig, check_trainable, standard_grid, select_model, train_one
 
 
 _LOSS_KEYS = {f.name for f in fields(HCalConfig)}
@@ -170,8 +170,12 @@ def _add_loss_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    for key in ("lr", "max_epochs", "batch_size", "monitor_metric", "selector_metric"):
-        _flag(p, key)
+    _flag(p, "lr")
+    _flag(p, "max_epochs")
+    _flag(p, "batch_size", help="samples per Adam step (default: all N, one full batch; "
+                                "fewer: batches of a fresh seeded shuffle each epoch)")
+    _flag(p, "monitor_metric")
+    _flag(p, "selector_metric")
     _flag(p, "family", choices=sorted(FAMILIES))
     _flag(p, "m", help="ensemble_temp component count")
     _flag(p, "z", help="piecewise_linear segment count")
@@ -297,6 +301,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     metric_ids = cfg.metric_ids() or list(METRICS)
     train_ds = load_dataset(args.train_path)
     test_ds = load_dataset(args.test_path)
+    if "hcal" in names:  # before the baselines use any compute
+        check_trainable(train_ds, loss_spec, train_cfg)
 
     reports: dict[str, MetricReport] = {}
     uncal_report = evaluate(softmax_rows(test_ds.logits), test_ds.labels, metric_ids)

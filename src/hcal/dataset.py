@@ -59,11 +59,7 @@ class LogitDataset:
             if fractional.any():
                 bad = int(np.argmax(fractional))
                 raise ValueError(f"label not a whole number at row {bad}: {labels[bad]}")
-        if labels.min() < 0 or labels.max() >= l:
-            bad = int(np.argwhere((labels < 0) | (labels >= l))[0][0])
-            raise ValueError(
-                f"label out of range at row {bad}: {labels[bad]} not in [0, {l})"
-            )
+        check_labels(labels, l)
         object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", np.ascontiguousarray(labels, dtype=np.int64))
 
@@ -74,6 +70,15 @@ class LogitDataset:
     @property
     def n_classes(self) -> int:
         return self.logits.shape[1]
+
+
+def check_labels(labels: np.ndarray, n_classes: int) -> None:
+    """Raise unless every label lies in [0, n_classes): one min/max pass, the
+    offending row searched only on failure."""
+    labels = np.asarray(labels)
+    if not (labels.min() >= 0 and labels.max() < n_classes):
+        bad = int(np.argmax(~((labels >= 0) & (labels < n_classes))))
+        raise ValueError(f"label out of range at row {bad}: {labels[bad]} not in [0, {n_classes})")
 
 
 def check_prob_matrix(probs: np.ndarray, atol: float = 1e-9) -> None:
@@ -153,7 +158,10 @@ def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 )
             try:
                 logits.append([float(p) for p in parts[:-1]])
-                labels.append(int(parts[-1]))
+                try:
+                    labels.append(int(parts[-1]))  # any size, kept exact
+                except ValueError:  # such as 1.0; LogitDataset rejects 1.5
+                    labels.append(float(parts[-1]))
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}: unparseable value at row {row}: {exc}") from None
     if not logits:

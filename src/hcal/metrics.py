@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import loss as loss_mod
-from .dataset import one_hot
+from .dataset import check_labels, one_hot
 from .loss import kmeans_1d
 
 DEFAULT_BINS = 15
@@ -571,6 +571,7 @@ def evaluate(
     :data:`METRICS`; otherwise each uses its documented default).
     """
     ids = metric_ids if metric_ids is not None else list(METRICS)
+    check_labels(labels, np.shape(probs)[1])
     if bins is not None:
         _check_bins(bins)
     values = {}

@@ -34,7 +34,7 @@ class TrainConfig:
     scheduler_patience: int = 20
     scheduler_factor: float = 0.5
     early_stop_patience: int = 160
-    batch_size: int | None = None  # None = full batch
+    batch_size: int | None = None  # None, or N or more: one full batch
     monitor_metric: str = "ece_ew"
     selector_metric: str = "dece"
     seed: int = 0
@@ -50,6 +50,10 @@ class TrainConfig:
             raise ValueError("patiences must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None")
+
+    def batch_rows(self, n: int) -> int:
+        """Samples per training batch on an n-sample training set."""
+        return n if self.batch_size is None else min(self.batch_size, n)
 
 
 @dataclass
@@ -97,41 +101,6 @@ class TrainHistory:
                   [[r.epoch, repr(r.loss), repr(r.metric), repr(r.lr)] for r in self.records])
 
 
-def _epoch_pass(
-    cal_map: CalibrationMap,
-    logits: np.ndarray,
-    labels: np.ndarray,
-    loss_fn,
-    state: AdamState,
-    lr: float,
-    batch_order: np.ndarray | None,
-    batch_size: int | None,
-    trace=None,
-) -> float:
-    """Run one epoch of forward/loss/backward/update; returns the mean loss.
-    A full-batch ``trace`` at the current parameters replaces the forward."""
-    n = logits.shape[0]
-    if batch_size is None or batch_size >= n:
-        slices = [np.arange(n)]
-    else:
-        slices = [batch_order[s:s + batch_size] for s in range(0, n, batch_size)]
-    total, seen = 0.0, 0
-    for idx in slices:
-        if trace is None:
-            trace = cal_map.forward(logits[idx])
-        out: LossOutput = loss_fn(trace.probs, labels[idx])
-        if not np.isfinite(out.value):
-            raise TrainingDivergedError(
-                f"non-finite loss at step {state.step + 1} (family {cal_map.family})"
-            )
-        pgrad = cal_map.backward(trace, out.prob_grad)
-        trace = None
-        cal_map.params = adam_step(cal_map.params, pgrad, state, lr)
-        total += out.value * len(idx)
-        seen += len(idx)
-    return total / seen
-
-
 def train_one(
     cal_map: CalibrationMap,
     train: LogitDataset,
@@ -141,8 +110,10 @@ def train_one(
 ) -> tuple[CalibrationMap, TrainHistory]:
     """Train one map; returns (best-snapshot map, per-epoch history).
 
-    After every epoch the monitor metric is evaluated on the full training
-    set; the learning rate halves after ``scheduler_patience`` epochs without
+    An epoch takes one Adam step per batch; mini-batches (the last possibly
+    short) come from a fresh seeded permutation each epoch.  After every
+    epoch the monitor metric is evaluated on the full training set; the
+    learning rate halves after ``scheduler_patience`` epochs without
     improvement and training stops after ``early_stop_patience`` of them.
     Both patience counters reference the same global best.  The returned map
     carries the parameters of the best monitored epoch.
@@ -159,7 +130,8 @@ def train_one(
     loss_fn = resolve_loss(loss_cfg)
     state = AdamState.zeros(cal_map.n_params)
     rng = np.random.default_rng(cfg.seed)
-    full_batch = cfg.batch_size is None or cfg.batch_size >= train.n_samples
+    n = train.n_samples
+    batch = cfg.batch_rows(n)
 
     history = TrainHistory()
     best_exact = np.inf  # governs the returned snapshot (true minimum)
@@ -167,26 +139,31 @@ def train_one(
     best_params = cal_map.params.copy()
     lr = cfg.lr
     sched_wait = stop_wait = 0
-    trace = None  # full batch: the monitor forward at the current parameters
+    trace = None  # the monitor forward, kept as the next full-batch epoch's forward
 
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(train.n_samples) if cfg.batch_size is not None else None
+        batches = ([slice(None)] if batch == n
+                   else np.split(rng.permutation(n), range(batch, n, batch)))
+        total = 0.0
         try:
-            mean_loss = _epoch_pass(
-                cal_map, train.logits, train.labels, loss_fn, state, lr,
-                order, cfg.batch_size, trace,
-            )
-            trace = None  # free the spent trace before the next forward
+            for idx in batches:
+                if trace is None:
+                    trace = cal_map.forward(train.logits[idx])
+                labels = train.labels[idx]
+                out: LossOutput = loss_fn(trace.probs, labels)
+                if not np.isfinite(out.value):
+                    raise TrainingDivergedError(f"non-finite loss at step {state.step + 1} "
+                                                f"(family {cal_map.family})")
+                pgrad = cal_map.backward(trace, out.prob_grad)
+                cal_map.params = adam_step(cal_map.params, pgrad, state, lr)
+                total += out.value * len(labels)
+                trace = out = None  # free the spent trace and gradient before the next forward
             trace = cal_map.forward(train.logits)
         except FloatingPointError as exc:  # raised by a forward's finiteness check
-            raise TrainingDivergedError(
-                f"forward pass diverged at step {state.step + 1} "
-                f"(family {cal_map.family}): {exc}"
-            ) from exc
-        probs = trace.probs
-        metric_val = float(monitor(probs, train.labels))
-        if not full_batch:
-            trace = None
+            raise TrainingDivergedError(f"forward pass diverged at step {state.step + 1} "
+                                        f"(family {cal_map.family}): {exc}") from exc
+        mean_loss = total / n
+        metric_val = float(monitor(trace.probs, train.labels))
         history.records.append(EpochRecord(epoch, mean_loss, metric_val, lr))
         if log_fn is not None:
             log_fn(f"epoch {epoch} loss {mean_loss:.6g} {cfg.monitor_metric} {metric_val:.6g} lr {lr:.6g}")
@@ -195,7 +172,9 @@ def train_one(
             best_exact = metric_val
             best_params = cal_map.params.copy()
             history.best_epoch = len(history.records) - 1
-            history.best_probs = probs
+            history.best_probs = trace.probs
+        if batch < n:
+            trace = None  # mini-batch epochs start from their own forwards
         if best_banded - metric_val >= MIN_IMPROVEMENT:
             best_banded = metric_val
             sched_wait = stop_wait = 0
@@ -238,7 +217,7 @@ def select_model(
     candidate without a best epoch takes one more forward."""
     if not families:
         raise ValueError("need at least one candidate")
-    _check_trainable(train, loss_cfg, cfg)
+    check_trainable(train, loss_cfg, cfg)
     selector = get_metric(cfg.selector_metric)
     best = None  # (value, map, history)
     reports: list[CandidateReport] = []
@@ -267,11 +246,12 @@ def select_model(
     return best[1], best[2], reports
 
 
-def _check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
+def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
     """Reject what would otherwise fail only after a candidate has trained."""
     n, n_classes = train.n_samples, train.n_classes
     window = getattr(loss_cfg, "window", 0)
-    rows = n if cfg.batch_size is None else min(cfg.batch_size, n % cfg.batch_size or n)
+    batch = cfg.batch_rows(n)
+    rows = n % batch or batch  # the smallest batch
     if window > rows * n_classes:
         fix = f"a window <= {rows * n_classes}"
         if rows < n:

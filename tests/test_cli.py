@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hcal import cli, optim
 from hcal.cli import (
     CONFIG_KEYS,
     RunConfig,
@@ -291,6 +292,19 @@ class TestCompare:
         ])
         assert rc == 1
         assert "magic" in capsys.readouterr().err
+
+    def test_untrainable_hcal_rejected_before_any_calibrator_trains(self, small_task,
+                                                                    monkeypatch, capsys):
+        # the window exceeds the 1600 atomic events of 400 samples x 4 classes;
+        # the baselines listed first must not train before that is found
+        calls = []
+        for owner in (cli, optim):
+            monkeypatch.setattr(owner, "train_one", lambda *a, **k: calls.append(a))
+        rc = main(["compare", *map(str, small_task), "--calibrators", "nll_ts,brier_ts,hcal",
+                   "--window", "60000"])
+        assert rc == 1
+        assert "window 60000 exceeds the 1600 atomic events" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestConfigFile:

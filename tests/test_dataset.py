@@ -90,6 +90,21 @@ class TestCsvLoading:
         with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: {message}")):
             load_dataset(path)
 
+    def test_whole_valued_float_labels_load(self, tmp_path):
+        # a float label column, as pandas writes one
+        path = tmp_path / "floats.csv"
+        path.write_text("logit_0,logit_1,label\n0,0,1.0\n1,1,0.0\n", encoding="utf-8")
+        ds = load_dataset(path)
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        assert ds.labels.dtype == np.int64
+
+    def test_fractional_csv_label_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("logit_0,logit_1,label\n0,0,1.0\n\n1,1,1.5\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{path}: label not a whole number at row 1: 1.5")):
+            load_dataset(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

@@ -304,6 +304,17 @@ class TestHcalLoss:
 
 
 class TestPsrLosses:
+    @pytest.mark.parametrize("loss_fn", [
+        lambda p, y: hcal_loss(p, y, HCalConfig(window=2, weighting="uniform")),
+        brier_loss,
+        nll_loss,
+    ], ids=["hcal_loss", "brier_loss", "nll_loss"])
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_label_out_of_range_rejected(self, loss_fn, bad):
+        # one_hot gives such a row no event, and nll would index from the end
+        with pytest.raises(ValueError, match=rf"label out of range at row 1: {bad} not in \[0, 2\)"):
+            loss_fn(np.full((2, 2), 0.5), np.array([0, bad]))
+
     def test_nll_perfect_predictions(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = nll_loss(probs, np.array([0, 1]))

@@ -729,3 +729,8 @@ class TestRegistryAndReport:
         probs, labels = random_instance(rng)
         with pytest.raises(ValueError, match="unknown metric"):
             evaluate(probs, labels, ["not_a_metric"])
+
+    def test_label_out_of_range_rejected(self):
+        # skce, cwece_a and dkde_ce would otherwise score a label 7 of 2 classes
+        with pytest.raises(ValueError, match=r"label out of range at row 2: 7 not in \[0, 2\)"):
+            evaluate(np.full((3, 2), 0.5), np.array([0, 1, 7]), ["skce", "cwece_a", "dkde_ce"])

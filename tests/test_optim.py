@@ -187,6 +187,42 @@ class TestTrainOne:
         expected = epochs + 1 if batch_size is None else epochs * per_epoch
         assert len(calls) == expected
 
+    def test_batch_of_n_or_more_is_the_full_batch(self, monkeypatch):
+        # bit for bit: same history, parameters and E + 1 forwards
+        calls = []
+        forward = EnsembleTempMap.forward
+        monkeypatch.setattr(EnsembleTempMap, "forward",
+                            lambda self, logits: calls.append(1) or forward(self, logits))
+        task, _ = make_calibrated_task(n=256, seed=10)
+        epochs = 6
+        runs = []
+        for batch_size in (None, 256, 1000):
+            calls.clear()
+            trained, history = train_one(
+                init_map("ensemble_temp", 2, seed=0), task, HCalConfig(window=30),
+                TrainConfig(seed=0, max_epochs=epochs, batch_size=batch_size,
+                            early_stop_patience=epochs + 1),
+            )
+            assert len(calls) == epochs + 1
+            runs.append((trained.params.tobytes(),
+                         [(r.loss, r.metric, r.lr) for r in history.records],
+                         history.best_epoch, history.best_probs.tobytes()))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_short_last_batch_is_one_of_the_batches(self, monkeypatch):
+        # 1010 samples in batches of 100: ten full batches and one of 10 per
+        # epoch, each with its own forward, plus the monitor forward
+        sizes = []
+        forward = EnsembleTempMap.forward
+        monkeypatch.setattr(EnsembleTempMap, "forward",
+                            lambda self, logits: sizes.append(len(logits)) or forward(self, logits))
+        task, _ = make_calibrated_task(n=1010, seed=4)
+        epochs = 3
+        train_one(init_map("ensemble_temp", 2, seed=0), task, "nll",
+                  TrainConfig(seed=0, max_epochs=epochs, batch_size=100,
+                              early_stop_patience=epochs + 1))
+        assert sizes == epochs * ([100] * 10 + [10, 1010])
+
     def test_history_csv(self, tmp_path):
         task, _ = make_calibrated_task(n=200, seed=11)
         _, history = train_one(

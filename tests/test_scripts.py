@@ -31,3 +31,13 @@ def test_epsilon_sweep_help():
     proc = run_script("epsilon_sweep.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "--epsilons" in proc.stdout
+
+
+def test_epsilon_sweep_runs_end_to_end():
+    proc = run_script("epsilon_sweep.py", "--n-train", "300", "--n-test", "300",
+                      "--epsilons", "1e-20,1e-1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("uncalibrated test ECEew: ")
+    assert [line.split(":")[0].split() for line in lines[1:]] == [["epsilon", "1e-20"],
+                                                                  ["epsilon", "1e-01"]]

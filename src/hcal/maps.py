@@ -14,8 +14,10 @@ parameter value, hence argmax (accuracy) preserving:
 
 Positivity is enforced by exp-reparameterization, so the flat parameter
 vector is unconstrained and Adam-friendly.  ``forward`` returns a trace
-caching everything ``backward`` needs.  ``backward`` returns the gradient
-of the flat parameters only: in post-hoc recalibration the logits are fixed.
+for ``backward``; ``ensemble_temp`` keeps no (m, N, L) member stack in it
+but recomputes its members per row block in both passes.  ``backward``
+returns the gradient of the flat parameters only: in post-hoc
+recalibration the logits are fixed.
 """
 
 from __future__ import annotations
@@ -145,31 +147,45 @@ class EnsembleTempMap(CalibrationMap):
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         logits = np.asarray(logits, dtype=np.float64)
         temps, w = self._unpack()
-        # the (m, N, L) members: one buffer, softmaxed in place along the classes
-        members = logits / temps[:, None, None]
-        members -= members.max(axis=2, keepdims=True)
-        np.exp(members, out=members)
-        members /= members.sum(axis=2, keepdims=True)
-        probs = np.einsum("k,kij->ij", w, members)
+        # max_j fl(x_ij / T) == fl(max_j x_ij / T): division by T > 0 is monotone
+        xmax = logits.max(axis=1)
+        probs = np.empty_like(logits)
+        rows = max(1, _MEMBER_BLOCK // (self.m * logits.shape[1]))
+        buf = np.empty(self.m * min(rows, len(logits)) * logits.shape[1])
+        for s in range(0, len(logits), rows):
+            x = logits[s:s + rows]
+            # this block's (m, rows, L) members, softmaxed in place along the classes
+            members = buf[:self.m * x.size].reshape(self.m, *x.shape)
+            np.divide(x, temps[:, None, None], out=members)
+            members -= (xmax[s:s + rows] / temps[:, None])[:, :, None]
+            np.exp(members, out=members)
+            members /= members.sum(axis=2, keepdims=True)
+            probs[s:s + rows] = np.einsum("k,kij->ij", w, members)
         self._check_finite(probs)
-        return ForwardTrace(logits, probs, {"members": members, "temps": temps, "weights": w})
+        return ForwardTrace(logits, probs, {"temps": temps, "weights": w, "xmax": xmax})
 
     def backward(self, trace, upstream):
+        """Recomputes each row block's unnormalised members E (rows, m, L) and
+        contracts them with [1, g, g*x, x] per sample: Z, then A = sum E g / Z,
+        B = sum E g x / Z and C = sum E x / Z per (sample, member)."""
         self._check_trace(trace, upstream)
-        members = trace.cache["members"]
-        temps = trace.cache["temps"]
-        w = trace.cache["weights"]
+        temps, w, xmax = trace.cache["temps"], trace.cache["weights"], trace.cache["xmax"]
         logits = trace.logits
-
-        dw = np.einsum("ij,kij->k", upstream, members)
-        raw_w_grad = w * (dw - float(w @ dw))
-
-        raw_t_grad = np.empty(self.m)
-        for k in range(self.m):
-            dz = _softmax_backward(members[k], w[k] * upstream)
-            # z = logits / T_k: dT flows through -logits / T^2, raw grad is dT * T
-            raw_t_grad[k] = float((dz * (-logits / temps[k])).sum())
-        return np.concatenate([raw_t_grad, raw_w_grad])
+        rows = max(1, _MEMBER_BLOCK // (self.m * logits.shape[1]))
+        a, cov = np.zeros(self.m), np.zeros(self.m)
+        for s in range(0, len(logits), rows):
+            x, g = logits[s:s + rows], upstream[s:s + rows]
+            e = x[:, None, :] / temps[:, None]
+            e -= (xmax[s:s + rows, None] / temps)[:, :, None]
+            np.exp(e, out=e)
+            cols = np.stack([np.ones_like(x), g, g * x, x], axis=2)  # (rows, L, 4)
+            z, eg, egx, ex = np.moveaxis(np.matmul(e, cols), 2, 0)
+            mean_g = eg / z  # A
+            a += mean_g.sum(axis=0)
+            cov += (egx / z - mean_g * (ex / z)).sum(axis=0)  # B - A * C
+        # the weights' softmax Jacobian; member k sees logits / T_k, so dT flows
+        # through -logits / T^2, and the raw log-temperature gradient is dT * T
+        return np.concatenate([-(w / temps) * cov, w * (a - float(w @ a))])
 
 
 class ScalarTransformMap(CalibrationMap):
@@ -336,6 +352,7 @@ class MonotonicNetMap(ScalarTransformMap):
         return np.concatenate([a.ravel() * da, db])
 
 
+_MEMBER_BLOCK = 1 << 16  # member elements (m * rows * L) per row block of ensemble_temp
 _SCALAR_BLOCK = 1 << 16  # scalars per sorted block of the envelope forward
 _MAX_MAGNITUDE = 1e300  # parameters and |x * a| this large may overflow
 # the lead a line needs over another is _LEAD_TOL * (|x| * max a + max |b|):

@@ -3,9 +3,11 @@
 Everything here is written with explicit Python loops and the most literal
 reading of each definition, deliberately avoiding the vectorized code paths
 of the package, so the two sides can only agree by computing the same thing.
-The last two helpers are the exceptions: ``frozen_structure`` reads the
-loss's own window structure, and ``naive_ensemble_temp_forward`` is the
-list-and-stack forward that the in-place one must match bit for bit.
+The last three helpers are the exceptions: ``frozen_structure`` reads the
+loss's own window structure, ``naive_ensemble_temp_forward`` is the
+list-and-stack forward that the row-blocked one must match bit for bit, and
+``naive_ensemble_temp_backward`` is the per-member gradient loop over that
+stack.
 """
 
 from __future__ import annotations
@@ -379,3 +381,18 @@ def naive_ensemble_temp_forward(cal_map, logits):
     members = np.stack([softmax_rows(logits / t) for t in temps])  # (m, N, L)
     probs = np.einsum("k,kij->ij", w, members)
     return ForwardTrace(logits, probs, {"members": members, "temps": temps, "weights": w})
+
+
+def naive_ensemble_temp_backward(cal_map, trace, upstream):
+    """The ensemble_temp parameter gradient from a stacked trace of
+    :func:`naive_ensemble_temp_forward`, one member at a time."""
+    members, temps, w = trace.cache["members"], trace.cache["temps"], trace.cache["weights"]
+    dw = np.einsum("ij,kij->k", upstream, members)
+    raw_w_grad = w * (dw - float(w @ dw))
+    raw_t_grad = np.empty(len(temps))
+    for k, member in enumerate(members):
+        dprobs = w[k] * upstream
+        dz = member * (dprobs - (dprobs * member).sum(axis=1, keepdims=True))
+        # z = logits / T_k: dT flows through -logits / T^2, raw grad is dT * T
+        raw_t_grad[k] = float((dz * (-trace.logits / temps[k])).sum())
+    return np.concatenate([raw_t_grad, raw_w_grad])

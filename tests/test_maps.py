@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from hcal.dataset import check_prob_matrix, softmax_rows
-from hcal.loss import brier_loss
+from hcal.loss import HCalConfig, brier_loss, hcal_loss
 from hcal.maps import FAMILIES as MAP_FAMILIES
 from hcal.maps import (
+    _MEMBER_BLOCK,
     EnsembleTempMap,
     MonotonicNetMap,
     PiecewiseLinearMap,
@@ -152,28 +153,30 @@ class TestBackward:
     def test_param_grad_matches_fd_through_brier(self, family, hyper, rng):
         # quick per-module FD check; the full family x loss matrix runs in the
         # acceptance suite
-        h = 1e-5
         for _ in range(5):
             cal_map = random_map(family, hyper, rng, spread=0.3)
-            logits = rng.normal(0, 2, (11, 4))
-            labels = rng.integers(0, 4, 11)
-            trace = cal_map.forward(logits)
-            out = brier_loss(trace.probs, labels)
-            pgrad = cal_map.backward(trace, out.prob_grad)
-            p0 = cal_map.params.copy()
-            fd = np.zeros_like(pgrad)
-            for i in range(cal_map.n_params):
-                e = np.zeros_like(p0)
-                e[i] = h
-                cal_map.params = p0 + e
-                fplus = brier_loss(cal_map.forward(logits).probs, labels).value
-                cal_map.params = p0 - e
-                fminus = brier_loss(cal_map.forward(logits).probs, labels).value
-                cal_map.params = p0
-                fd[i] = (fplus - fminus) / (2 * h)
-            scale = max(np.abs(fd).max(), np.abs(pgrad).max(), 1e-8)
-            denom = np.maximum(np.maximum(np.abs(fd), np.abs(pgrad)), 1e-6 * scale)
-            assert np.max(np.abs(fd - pgrad) / denom) < 1e-4
+            assert_grad_matches_fd(cal_map, rng.normal(0, 2, (11, 4)), rng.integers(0, 4, 11))
+
+
+def assert_grad_matches_fd(cal_map, logits, labels, h=1e-5):
+    """The parameter gradient through ``brier_loss`` against central
+    differences."""
+    trace = cal_map.forward(logits)
+    pgrad = cal_map.backward(trace, brier_loss(trace.probs, labels).prob_grad)
+    p0 = cal_map.params.copy()
+    fd = np.zeros_like(pgrad)
+    for i in range(cal_map.n_params):
+        e = np.zeros_like(p0)
+        e[i] = h
+        cal_map.params = p0 + e
+        fplus = brier_loss(cal_map.forward(logits).probs, labels).value
+        cal_map.params = p0 - e
+        fminus = brier_loss(cal_map.forward(logits).probs, labels).value
+        cal_map.params = p0
+        fd[i] = (fplus - fminus) / (2 * h)
+    scale = max(np.abs(fd).max(), np.abs(pgrad).max(), 1e-8)
+    denom = np.maximum(np.maximum(np.abs(fd), np.abs(pgrad)), 1e-6 * scale)
+    assert np.max(np.abs(fd - pgrad) / denom) < 1e-4
 
 
 class TestSerialization:
@@ -352,6 +355,22 @@ class TestMonotonicNetForward:
         assert peak - y.nbytes - cache["active"].nbytes <= 8_000_000 * 8
 
 
+def assert_matches_stack(cal_map, logits, upstream):
+    """Probabilities bit-identical to the stacked oracle; parameter gradients
+    within rtol 1e-10 plus a floor. The kernel sums in another order than the
+    per-member loop, and where a member is near one-hot its temperature
+    gradient cancels to ~0 while both sides keep rounding errors of about
+    eps * sum |g * x| * w_k / T_k (w_k for the weights)."""
+    trace = cal_map.forward(logits)
+    want = oracles.naive_ensemble_temp_forward(cal_map, logits)
+    assert np.array_equal(trace.probs, want.probs)
+    got = cal_map.backward(trace, upstream)
+    want_grad = oracles.naive_ensemble_temp_backward(cal_map, want, upstream)
+    temps, w = cal_map._unpack()
+    floor = 1e-14 * np.abs(upstream * logits).sum() * np.concatenate([w / temps, w])
+    assert np.all(np.abs(got - want_grad) <= 1e-10 * np.abs(want_grad) + floor)
+
+
 class TestEnsembleTempForward:
     @pytest.mark.parametrize("m", [1, 3, 16, 128])
     @pytest.mark.parametrize("n", [1, 7, 200])
@@ -362,23 +381,60 @@ class TestEnsembleTempForward:
         cal_map = EnsembleTempMap(m, params=np.concatenate(
             [gen.uniform(-3.0, 3.0, m), gen.normal(0.0, 1.0, m)]))
         logits = gen.uniform(-50.0, 50.0, (n, l))
-        trace = cal_map.forward(logits)
-        want = oracles.naive_ensemble_temp_forward(cal_map, logits)
-        assert np.array_equal(trace.probs, want.probs)
-        assert np.array_equal(trace.cache["members"], want.cache["members"])
-        upstream = gen.normal(0.0, 1.0, (n, l))
-        assert np.array_equal(cal_map.backward(trace, upstream),
-                              cal_map.backward(want, upstream))
+        assert_matches_stack(cal_map, logits, gen.normal(0.0, 1.0, (n, l)))
 
-    def test_one_member_buffer_alive(self):
-        # m=128 on 500x100 logits: the forward peaks at one (m, N, L) array
-        # plus a few (N, L)-sized ones, not the two copies a stack makes
-        cal_map = EnsembleTempMap(128, params=np.random.default_rng(0).normal(0, 1, 256))
-        logits = np.random.default_rng(1).normal(0, 4, (500, 100))
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 16, 128]), l=st.sampled_from([2, 10, 1000]),
+           blocks=st.integers(1, 2), offset=st.integers(-1, 1), seed=st.integers(0, 2**32 - 1))
+    @example(m=128, l=1000, blocks=2, offset=1, seed=0)  # m * L above the block: one row each
+    @example(m=1, l=2, blocks=1, offset=-1, seed=1)  # the most rows per block
+    @example(m=16, l=1000, blocks=1, offset=1, seed=2)
+    def test_block_edges_match_stack(self, m, l, blocks, offset, seed):
+        # row counts one below, at and one above a multiple of the rows per
+        # block; raw temperatures of +-3 and logits of +-50 underflow in exp
+        rows = max(1, _MEMBER_BLOCK // (m * l))
+        gen = np.random.default_rng(seed)
+        cal_map = EnsembleTempMap(m, params=np.concatenate(
+            [gen.uniform(-3.0, 3.0, m), gen.normal(0.0, 1.0, m)]))
+        logits = gen.uniform(-50.0, 50.0, (max(1, blocks * rows + offset), l))
+        assert_matches_stack(cal_map, logits, gen.normal(0.0, 1.0, logits.shape))
+
+    def test_single_row_blocks_match_fd(self, rng):
+        # m * L above the block size: every block is one row
+        cal_map = random_map("ensemble_temp", 4, rng, spread=0.3)
+        logits = rng.normal(0, 2, (3, 20_000))
+        assert 4 * logits.shape[1] > _MEMBER_BLOCK
+        assert_grad_matches_fd(cal_map, logits, rng.integers(0, 20_000, 3))
+
+    @pytest.mark.parametrize("m, n, l", [(128, 500, 100), (16, 20_000, 10)])
+    def test_no_member_stack_alive(self, m, n, l):
+        # an (m, N, L) array would be m times the logits (51 and 26 MB here);
+        # forward and backward each hold the logits' size plus a few blocks
+        cal_map = EnsembleTempMap(m, params=np.random.default_rng(0).normal(0, 1, 2 * m))
+        logits = np.random.default_rng(1).normal(0, 4, (n, l))
+        bound = logits.nbytes + 8 * _MEMBER_BLOCK * 8
         tracemalloc.start()
         try:
-            cal_map.forward(logits)
-            peak = tracemalloc.get_traced_memory()[1]
+            trace = cal_map.forward(logits)
+            held, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cal_map.backward(trace, logits)
+            backward_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 128 * logits.nbytes
+        assert set(trace.cache) == {"temps", "weights", "xmax"}
+        assert forward_peak <= bound
+        assert backward_peak <= bound
+
+    @pytest.mark.parametrize("m", [2, 16, 128])
+    def test_symmetric_start_keeps_components_equal(self, m, rng):
+        # from T = 1 and equal weights every component gets the same gradient
+        # under the default window loss, bit for bit; breaking this symmetry
+        # is a training decision (ROADMAP item 4), not a kernel side effect
+        logits = rng.normal(0, 3, (600, 10))
+        labels = rng.integers(0, 10, 600)
+        cal_map = EnsembleTempMap(m)
+        trace = cal_map.forward(logits)
+        grad = cal_map.backward(trace, hcal_loss(trace.probs, labels, HCalConfig()).prob_grad)
+        assert np.all(grad[:m] == grad[0]) and np.all(grad[m:] == grad[m])
+        assert grad[0] != 0

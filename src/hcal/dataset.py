@@ -5,7 +5,7 @@ Two interchange formats, picked by the file suffix (``.csv`` in any case
 means CSV, anything else binary):
 
 * CSV with header ``logit_0,...,logit_{L-1},label`` (one sample per line,
-  UTF-8, '.' decimal separator).
+  UTF-8 with or without a byte order mark, '.' decimal separator).
 * Binary: magic ``HCAL``, u32 version=1, u32 N, u32 L, N*L float32 logits
   row-major, N u32 labels.  Everything little-endian.
 """
@@ -109,6 +109,32 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return (np.asarray(labels)[:, None] == np.arange(n_classes)).astype(np.float64)
 
 
+def stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of a 1-D real array, computed
+    with numpy's default (SIMD, unstable) argsort.
+
+    Equal values (by ``==``, so -0.0 ties 0.0; the NaNs, sorted last, form
+    one run) lie in contiguous runs of the unstable order.  Each run is put
+    back in index order by one int64 sort of ``run * size + index``, which
+    leaves the runs in place.  Without ties the unstable order is returned.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values)
+    if values.size < 2:
+        return order
+    ordered = values[order]
+    tied = ordered[1:] == ordered[:-1]
+    if ordered[-1] != ordered[-1]:  # NaNs: pairs from the first one on tie
+        tied[np.argmax(ordered != ordered):] = True
+    if not tied.any():
+        return order
+    n = order.size
+    base = np.zeros(n, dtype=np.int64)
+    np.cumsum(~tied, out=base[1:])
+    base *= n  # run * size; below 2**63 for any array that fits in memory
+    return np.sort(base + order) - base
+
+
 def _is_csv(path: Path) -> bool:
     return path.suffix.lower() == ".csv"
 
@@ -131,7 +157,7 @@ def load_dataset(path: str | Path) -> LogitDataset:
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading BOM
         header = fh.readline().strip()
         if not header:
             raise DatasetFormatError(f"{path}: empty file")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_labels, one_hot
+from .dataset import check_labels, one_hot, stable_argsort
 
 KMEANS_MAX_ITER = 100
 NORMS = ("abs", "squared")
@@ -79,7 +79,7 @@ def build_windows(probs: np.ndarray, labels: np.ndarray,
     n, l = probs.shape
     if window > n * l:
         raise ValueError(f"window {window} exceeds the {n * l} atomic events")
-    perm = np.argsort(probs.ravel(), kind="stable")
+    perm = stable_argsort(probs.ravel())
     q = probs.ravel()[perm]
     gaps = window_sums(one_hot(labels, l).ravel()[perm] - q, window) / window
     return perm, q, gaps
@@ -109,6 +109,9 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=np.float64)
     order = None
     if np.count_nonzero(values[1:] < values[:-1]):
+        # timsort, not stable_argsort: the loss's window centroids come
+        # sorted or nearly so, and on nearly sorted input timsort's runs win
+        # (0.13 ms against 1.0 ms for 50k values with 20 swaps)
         order = np.argsort(values, kind="stable")
         values = values[order]
     centers = np.quantile(values, (np.arange(k) + 0.5) / k)

@@ -75,6 +75,11 @@ class CalibrationMap:
         params = np.asarray(params, dtype=np.float64)
         if params.size != size:
             raise ValueError(f"{self.describe()} needs {size} params, got {params.size}")
+        finite = np.isfinite(params)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"{self.describe()} has a non-finite parameter at index {bad}: "
+                             f"{params[bad]}")
         self.params = params.copy()
         self.seed = seed
         self.n_classes = n_classes  # 0 = not pinned to a class count yet
@@ -446,8 +451,11 @@ def load_map(path: str | Path) -> CalibrationMap:
     if cls is None:
         raise ValueError(f"{path}: unknown family id {fam_id}")
     params = np.frombuffer(raw, dtype="<f8", offset=_MAP_HEADER.size).copy()
-    return cls(*(h0, h1)[:len(cls.hyper_names)], seed=_read_sidecar_seed(path),
-               params=params, n_classes=n_classes)
+    try:
+        return cls(*(h0, h1)[:len(cls.hyper_names)], seed=_read_sidecar_seed(path),
+                   params=params, n_classes=n_classes)
+    except ValueError as exc:  # the family's checks of its sizes and parameters
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_sidecar_seed(path: Path) -> int:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import loss as loss_mod
-from .dataset import check_labels, one_hot
+from .dataset import check_labels, one_hot, stable_argsort
 from .loss import kmeans_1d
 
 DEFAULT_BINS = 15
@@ -144,7 +144,7 @@ def _top_label_bins(
     if binning == "equal_width":
         idx = equal_width_bin_index(conf, bins)
     elif binning == "equal_mass":
-        order = np.argsort(conf, kind="stable")
+        order = stable_argsort(conf)
         conf, correct = conf[order], correct[order]
         idx = np.repeat(np.arange(bins), np.diff(equal_mass_bounds(conf.size, bins)))
     else:
@@ -235,7 +235,7 @@ def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
     n = conf.size
-    order = np.argsort(conf, kind="stable")
+    order = stable_argsort(conf)
     csum_k = np.concatenate([[0.0], np.cumsum(correct[order])])
     csum_c = np.concatenate([[0.0], np.cumsum(conf[order])])
     bounds = equal_mass_bounds(n, _monotone_bin_count(csum_k))
@@ -252,7 +252,7 @@ def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
     samples in (stable) ascending confidence order."""
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
-    order = np.argsort(conf, kind="stable")
+    order = stable_argsort(conf)
     n = conf.size
     h = np.cumsum(correct[order]) / n
     g = np.cumsum(conf[order]) / n
@@ -272,7 +272,7 @@ def mmce(probs: np.ndarray, labels: np.ndarray) -> float:
     """
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
-    order = np.argsort(conf, kind="stable")
+    order = stable_argsort(conf)
     c, r = conf[order], (correct - conf)[order]
     f = np.exp(-(c - c[0]) / MMCE_BANDWIDTH)
     below = np.concatenate([[0.0], np.cumsum(r / f)[:-1]])

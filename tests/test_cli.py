@@ -21,7 +21,7 @@ from hcal.metrics import DEFAULT_BINS
 from hcal.optim import TrainConfig, standard_grid
 from hcal.dataset import LogitDataset, save_dataset, softmax_rows
 from hcal.diagram import render_reliability_svg
-from hcal.maps import load_map
+from hcal.maps import init_map, load_map, save_map
 from hcal.metrics import ece, reliability_data
 from hcal.synthetic import make_calibrated_task, make_overconfident_task
 
@@ -167,6 +167,36 @@ class TestEval:
         rc = main(["eval", str(model), str(other)])
         assert rc == 1
         assert "class-count mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "diagram"])
+    def test_non_finite_model_params_fail_with_message(self, small_task, tmp_path, capsys,
+                                                       command):
+        _, test_path = small_task
+        cal_map = init_map("ensemble_temp", 2)
+        cal_map.n_classes = 4
+        cal_map.params[0] = np.nan
+        model = tmp_path / "nan.hcal"
+        save_map(cal_map, model)
+        argv = [command, str(model), str(test_path)]
+        if command == "diagram":
+            argv.append(str(tmp_path / "r.svg"))
+        rc = main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "nan.hcal: ensemble_temp(m=2) has a non-finite parameter at index 0: nan" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_forward_blow_up_fails_with_message(self, small_task, tmp_path, capsys):
+        # a finite raw log-temperature of -1000 gives T = 0
+        _, test_path = small_task
+        cal_map = init_map("ensemble_temp", 2)
+        cal_map.n_classes = 4
+        cal_map.params[0] = -1000.0
+        model = tmp_path / "cold.hcal"
+        save_map(cal_map, model)
+        rc = main(["eval", str(model), str(test_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: non-finite probabilities")
 
     def test_unknown_metric_fails(self, small_task, capsys):
         _, test_path = small_task

@@ -15,6 +15,7 @@ from hcal.dataset import (
     save_dataset,
     softmax_rows,
     split_dataset,
+    stable_argsort,
 )
 
 
@@ -55,6 +56,14 @@ class TestCsvLoading:
         assert ds.n_samples == 3
         assert ds.n_classes == 2
         assert list(ds.labels) == [0, 1, 0]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbflogit_0,logit_1,label\n0.5,-1,1\n")
+        ds = load_dataset(path)
+        np.testing.assert_array_equal(ds.logits, [[0.5, -1.0]])
+        assert list(ds.labels) == [1]
 
     def test_label_out_of_range_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -232,6 +241,49 @@ class TestSoftmaxRows:
             check_prob_matrix(np.array([[0.5, 0.4]]))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             check_prob_matrix(np.array([[1.2, -0.2]]))
+
+
+# a few values, both zeros, both infinities and NaNs of either sign, so that
+# most draws are runs of equal values
+_TIE_POOL = [0.0, -0.0, 0.25, -1.5, 1e-300, np.inf, -np.inf, np.nan, -np.nan]
+
+
+class TestStableArgsort:
+    @given(st.lists(st.sampled_from(_TIE_POOL), max_size=400))
+    @settings(max_examples=300, deadline=None)
+    def test_heavy_ties_match_stable_argsort(self, values):
+        values = np.array(values, dtype=np.float64)
+        np.testing.assert_array_equal(stable_argsort(values),
+                                      np.argsort(values, kind="stable"))
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=400),
+           st.sampled_from(["as drawn", "sorted", "reversed"]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats_in_any_order_match_stable_argsort(self, values, layout):
+        values = np.array(values, dtype=np.float64)
+        if layout != "as drawn":
+            values = np.sort(values)
+            if layout == "reversed":
+                values = values[::-1].copy()
+        np.testing.assert_array_equal(stable_argsort(values),
+                                      np.argsort(values, kind="stable"))
+
+    @pytest.mark.parametrize("values", [[], [0.5], [np.nan], [-0.0]])
+    def test_empty_and_one_element(self, values):
+        values = np.array(values, dtype=np.float64)
+        out = stable_argsort(values)
+        assert out.dtype == np.intp
+        np.testing.assert_array_equal(out, np.arange(values.size))
+
+    def test_large_tied_input_needs_the_repair(self, rng):
+        # 50k values on 1000 levels with the zeros signed at random: the
+        # unstable order differs, the repaired one does not
+        values = rng.integers(0, 1000, 50_000) / 1000.0
+        values[values == 0.0] *= rng.choice([-1.0, 1.0], np.count_nonzero(values == 0.0))
+        values[rng.integers(0, values.size, 50)] = np.nan
+        stable = np.argsort(values, kind="stable")
+        assert not np.array_equal(np.argsort(values), stable)
+        np.testing.assert_array_equal(stable_argsort(values), stable)
 
 
 class TestSplitDataset:

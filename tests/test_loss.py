@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hcal import loss as loss_mod
+from hcal.dataset import softmax_rows
 from hcal.loss import (
     HCalConfig,
     brier_loss,
@@ -301,6 +303,43 @@ class TestHcalLoss:
         uni = hcal_loss(probs, labels, HCalConfig(window=5, weighting="uniform")).value
         ada = hcal_loss(probs, labels, HCalConfig(window=5, weighting="adaptive")).value
         assert uni != ada
+
+
+class TestStableOrderIsTimsortOrder:
+    """``build_windows`` takes its order from ``stable_argsort``; a run on
+    numpy's stable (timsort) argsort must give the same loss bit for bit."""
+
+    @staticmethod
+    def assert_same_as_timsort_run(monkeypatch, probs, labels, cfg):
+        out = hcal_loss(probs, labels, cfg)
+        perm = build_windows(probs, labels, cfg.window)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(loss_mod, "stable_argsort", lambda v: np.argsort(v, kind="stable"))
+            ref = hcal_loss(probs, labels, cfg)
+            ref_perm = build_windows(probs, labels, cfg.window)[0]
+        np.testing.assert_array_equal(perm, ref_perm)
+        assert out.value == ref.value
+        assert np.array_equal(out.prob_grad, ref.prob_grad)
+        assert (out.n_active_windows, out.max_window_violation) == (
+            ref.n_active_windows, ref.max_window_violation)
+
+    def test_softmax_5000x10(self, monkeypatch):
+        gen = np.random.default_rng(3)
+        probs = softmax_rows(3.0 * gen.normal(size=(5000, 10)))
+        labels = gen.integers(0, 10, 5000)
+        self.assert_same_as_timsort_run(monkeypatch, probs, labels, HCalConfig())
+
+    @pytest.mark.parametrize("weighting", ["adaptive", "uniform"])
+    def test_tie_heavy_5000x10(self, monkeypatch, weighting):
+        # eight 1/8 units per row: 50k events on nine levels
+        gen = np.random.default_rng(4)
+        units = gen.integers(0, 10, size=(5000, 8))
+        probs = np.stack([np.bincount(row, minlength=10) for row in units]) / 8.0
+        labels = gen.integers(0, 10, 5000)
+        assert not np.array_equal(np.argsort(probs.ravel()),
+                                  np.argsort(probs.ravel(), kind="stable"))
+        self.assert_same_as_timsort_run(monkeypatch, probs, labels,
+                                        HCalConfig(window=50, weighting=weighting))
 
 
 class TestPsrLosses:

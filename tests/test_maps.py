@@ -255,6 +255,23 @@ class TestModelFormat:
         with pytest.raises(ValueError, match=r"m\.hcal: 4 parameters need a 60-byte file, got 52"):
             load_map(path)
 
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (1, np.inf), (3, -np.inf)])
+    def test_non_finite_params_rejected(self, tmp_path, index, value):
+        cal_map = init_map("ensemble_temp", 2)
+        cal_map.params[index] = value
+        path = tmp_path / "m.hcal"
+        save_map(cal_map, path)
+        with pytest.raises(ValueError, match=rf"m\.hcal: ensemble_temp\(m=2\) has a non-finite "
+                                             rf"parameter at index {index}: {value}"):
+            load_map(path)
+
+    def test_sizes_that_do_not_fit_the_params_name_the_file(self, tmp_path):
+        path = tmp_path / "m.hcal"
+        path.write_bytes(struct.pack("<4sIIIIII", b"HMAP", 1, 0, 16, 0, 0, 10) + bytes(80))
+        with pytest.raises(ValueError, match=r"m\.hcal: ensemble_temp\(m=16\) needs 32 params, "
+                                             r"got 10"):
+            load_map(path)
+
     def test_unknown_family_id_rejected(self, tmp_path):
         path = tmp_path / "m.hcal"
         path.write_bytes(struct.pack("<4sIIIIII", b"HMAP", 1, 7, 1, 0, 0, 0))

@@ -103,8 +103,8 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     the lower index (so the upper of two equal centers stays empty, keeping
     its center).  Unsorted values are sorted once and the assignments mapped
     back; on sorted values each cluster is a contiguous run, so a Lloyd step
-    finds k - 1 split points by binary search and sums the runs with
-    ``np.add.reduceat``.  Returns (centers, assignment).
+    finds k - 1 split points by binary search and takes the run sums from
+    one prefix sum.  Returns (centers, assignment).
     """
     values = np.asarray(values, dtype=np.float64)
     order = None
@@ -115,23 +115,26 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(values, kind="stable")
         values = values[order]
     centers = np.quantile(values, (np.arange(k) + 0.5) / k)
-    padded = np.append(values, 0.0)  # a run may start at values.size when empty
+    # values ascend, so a difference of two prefix sums rounds only against
+    # the run's sum plus the values below it
+    prefix = np.zeros(values.size + 1)
+    np.cumsum(values, out=prefix[1:])
     edges = np.full(k + 1, values.size)
-    edges[0] = 0
-    starts, ends = edges[:-1], edges[1:]  # views: cluster j is values[starts[j]:ends[j]]
+    edges[0] = 0  # cluster j is values[edges[j]:edges[j + 1]]
     splits = _nearest_center_splits(values, centers)
     for _ in range(KMEANS_MAX_ITER):
         edges[1:-1] = splits
-        counts = ends - starts
-        # an empty run's sum is garbage, and its cluster keeps its center
-        np.divide(np.add.reduceat(padded, starts), counts, out=centers, where=counts > 0)
+        counts = edges[1:] - edges[:-1]
+        sums = prefix[edges]
+        # an empty cluster keeps its center
+        np.divide(sums[1:] - sums[:-1], counts, out=centers, where=counts > 0)
         centers.sort()
         new_splits = _nearest_center_splits(values, centers)
         if not np.count_nonzero(new_splits != splits):
             break
         splits = new_splits
     edges[1:-1] = splits
-    assign = np.repeat(np.arange(k), ends - starts)
+    assign = np.repeat(np.arange(k), edges[1:] - edges[:-1])
     if order is not None:
         assign[order] = assign.copy()
     return centers, assign

@@ -53,6 +53,11 @@ class ForwardTrace:
     cache: dict[str, Any] = field(default_factory=dict)
 
 
+# a blown-up parameter overflows quietly in a forward: its finiteness check
+# is the one report
+_quiet_overflow = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Row-softmax Jacobian-transpose product: dL/dz from dL/dsoftmax(z)."""
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
@@ -149,6 +154,7 @@ class EnsembleTempMap(CalibrationMap):
         w /= w.sum()
         return temps, w
 
+    @_quiet_overflow
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         logits = np.asarray(logits, dtype=np.float64)
         temps, w = self._unpack()
@@ -176,15 +182,25 @@ class EnsembleTempMap(CalibrationMap):
         self._check_trace(trace, upstream)
         temps, w, xmax = trace.cache["temps"], trace.cache["weights"], trace.cache["xmax"]
         logits = trace.logits
-        rows = max(1, _MEMBER_BLOCK // (self.m * logits.shape[1]))
+        n_classes = logits.shape[1]
+        rows = max(1, _MEMBER_BLOCK // (self.m * n_classes))
+        inv_temps = np.repeat(1.0 / temps, n_classes)  # member k's scale, L times
         a, cov = np.zeros(self.m), np.zeros(self.m)
+        # [1, g, g*x, x] as four contiguous (rows, L) planes, read by the
+        # matmul as (rows, L, 4)
+        cols = np.empty((4, min(rows, len(logits)), n_classes))
+        cols[0] = 1.0
         for s in range(0, len(logits), rows):
             x, g = logits[s:s + rows], upstream[s:s + rows]
-            e = x[:, None, :] / temps[:, None]
-            e -= (xmax[s:s + rows, None] / temps)[:, :, None]
+            # one (rows, m * L) array, so each numpy loop runs m * L long
+            e = np.tile(x - xmax[s:s + rows, None], self.m)
+            e *= inv_temps
             np.exp(e, out=e)
-            cols = np.stack([np.ones_like(x), g, g * x, x], axis=2)  # (rows, L, 4)
-            z, eg, egx, ex = np.moveaxis(np.matmul(e, cols), 2, 0)
+            e = e.reshape(len(x), self.m, n_classes)
+            c = cols[:, :len(x)]
+            c[1], c[3] = g, x
+            np.multiply(g, x, out=c[2])
+            z, eg, egx, ex = np.moveaxis(np.matmul(e, c.transpose(1, 2, 0)), 2, 0)
             mean_g = eg / z  # A
             a += mean_g.sum(axis=0)
             cov += (egx / z - mean_g * (ex / z)).sum(axis=0)  # B - A * C
@@ -205,6 +221,7 @@ class ScalarTransformMap(CalibrationMap):
     fixed inputs of post-hoc recalibration.
     """
 
+    @_quiet_overflow
     def forward(self, logits: np.ndarray) -> ForwardTrace:
         logits = np.asarray(logits, dtype=np.float64)
         y, cache = self._transform(logits - logits.max(axis=1, keepdims=True))

@@ -3,9 +3,10 @@
 Everything here is written with explicit Python loops and the most literal
 reading of each definition, deliberately avoiding the vectorized code paths
 of the package, so the two sides can only agree by computing the same thing.
-The last three helpers are the exceptions: ``frozen_structure`` reads the
-loss's own window structure, ``naive_ensemble_temp_forward`` is the
-list-and-stack forward that the row-blocked one must match bit for bit, and
+The exceptions: ``reduceat_kmeans_1d`` is the loss's k-means with its older
+run sums, which the prefix-sum rounds must match; ``frozen_structure`` reads
+the loss's own window structure; ``naive_ensemble_temp_forward`` is the
+list-and-stack forward that the row-blocked one must match bit for bit; and
 ``naive_ensemble_temp_backward`` is the per-member gradient loop over that
 stack.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from hcal.dataset import softmax_rows
-from hcal.loss import build_windows, kmeans_weights, window_sums
+from hcal.loss import _nearest_center_splits, build_windows, kmeans_weights, window_sums
 from hcal.maps import ForwardTrace
 
 
@@ -317,6 +318,38 @@ def naive_kmeans_1d(values, k, max_iter=100):
                 best, best_d = c, d
         final.append(best)
     return centers, final
+
+
+def reduceat_kmeans_1d(values, k, max_iter=100):
+    """The sorted-run Lloyd iteration with each round's cluster sums taken
+    by ``np.add.reduceat`` over all values: the loss's k-means before its
+    rounds read one prefix sum, with the same splits and tie rules."""
+    values = np.asarray(values, dtype=np.float64)
+    order = None
+    if np.count_nonzero(values[1:] < values[:-1]):
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+    centers = np.quantile(values, (np.arange(k) + 0.5) / k)
+    padded = np.append(values, 0.0)  # a run may start at values.size when empty
+    edges = np.full(k + 1, values.size)
+    edges[0] = 0
+    starts, ends = edges[:-1], edges[1:]  # views: cluster j is values[starts[j]:ends[j]]
+    splits = _nearest_center_splits(values, centers)
+    for _ in range(max_iter):
+        edges[1:-1] = splits
+        counts = ends - starts
+        # an empty run's sum is garbage, and its cluster keeps its center
+        np.divide(np.add.reduceat(padded, starts), counts, out=centers, where=counts > 0)
+        centers.sort()
+        new_splits = _nearest_center_splits(values, centers)
+        if not np.count_nonzero(new_splits != splits):
+            break
+        splits = new_splits
+    edges[1:-1] = splits
+    assign = np.repeat(np.arange(k), ends - starts)
+    if order is not None:
+        assign[order] = assign.copy()
+    return centers, assign
 
 
 def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None, perm=None):

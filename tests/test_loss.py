@@ -16,6 +16,7 @@ from hcal.loss import (
     nll_loss,
     window_sums,
 )
+from hcal.synthetic import make_overconfident_task
 
 
 def random_prob_instance(rng, max_n=20, max_l=4):
@@ -139,6 +140,21 @@ class TestKmeans1d:
         n_centers, n_assign = oracles.naive_kmeans_1d(values, k)
         np.testing.assert_array_equal(assign, n_assign)
         np.testing.assert_allclose(centers, n_centers, rtol=0, atol=1e-12)
+        r_centers, r_assign = oracles.reduceat_kmeans_1d(values, k)
+        np.testing.assert_array_equal(assign, r_assign)
+        np.testing.assert_allclose(centers, r_centers, rtol=1e-12, atol=0)
+
+    # the loss's own inputs: sorted window centroids of softmax(2 * N(0, 1))
+    # logits, up to the 2M centroids of 20,000 x 100 events
+    @pytest.mark.parametrize("n, l", [(5000, 10), (200, 100), (20_000, 100)])
+    def test_matches_reduceat_on_window_centroids(self, n, l):
+        probs = softmax_rows(2.0 * np.random.default_rng(n + l).normal(size=(n, l)))
+        _, q, _ = build_windows(probs, np.zeros(n, dtype=np.int64), 200)
+        centroids = window_sums(q, 200) / 200
+        centers, assign = kmeans_1d(centroids, 15)
+        r_centers, r_assign = oracles.reduceat_kmeans_1d(centroids, 15)
+        np.testing.assert_array_equal(assign, r_assign)
+        np.testing.assert_allclose(centers, r_centers, rtol=1e-12, atol=0)
 
     def test_weights_sum_is_nonempty_cluster_fraction(self, rng):
         for _ in range(20):
@@ -340,6 +356,23 @@ class TestStableOrderIsTimsortOrder:
                                   np.argsort(probs.ravel(), kind="stable"))
         self.assert_same_as_timsort_run(monkeypatch, probs, labels,
                                         HCalConfig(window=50, weighting=weighting))
+
+
+class TestPrefixSumKmeansKeepsTheLoss:
+    """``kmeans_1d`` takes its run sums from one prefix sum; the window loss
+    must come out bit for bit as with the ``np.add.reduceat`` rounds."""
+
+    def test_overconfident_5000x10(self, monkeypatch):
+        task = make_overconfident_task(n_train=5000, n_test=1, seed=2)
+        probs, labels = softmax_rows(task.train.logits), task.train.labels
+        out = hcal_loss(probs, labels, HCalConfig())
+        with monkeypatch.context() as patch:
+            patch.setattr(loss_mod, "kmeans_1d", oracles.reduceat_kmeans_1d)
+            ref = hcal_loss(probs, labels, HCalConfig())
+        assert out.value == ref.value
+        assert np.array_equal(out.prob_grad, ref.prob_grad)
+        assert (out.n_active_windows, out.max_window_violation) == (
+            ref.n_active_windows, ref.max_window_violation)
 
 
 class TestPsrLosses:

@@ -129,6 +129,24 @@ class TestForward:
             sorted_probs = np.take_along_axis(probs, order, axis=1)
             assert np.all(np.diff(sorted_probs, axis=1) >= -1e-15)
 
+    # numpy's overflow warnings would raise here: the forward's own check is
+    # the one report of a blown-up parameter
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family, hyper, index, value", [
+        ("ensemble_temp", 2, 0, -1000.0),  # T = 0
+        ("piecewise_linear", 4, 0, 1000.0),  # an infinite slope
+    ])  # monotonic_net: TestMonotonicNetForward::test_non_finite_parameters_raise
+    def test_blow_up_raises_without_numpy_warnings(self, family, hyper, index, value, rng):
+        cal_map = init_map(family, hyper)
+        cal_map.params[index] = value
+        with pytest.raises(FloatingPointError, match="non-finite probabilities"):
+            cal_map.forward(rng.normal(0, 3, (30, 4)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_temperature_is_uniform_without_warnings(self, rng):
+        cal_map = EnsembleTempMap(2, params=np.array([1000.0, 1000.0, 0.0, 0.0]))
+        assert np.all(cal_map.forward(rng.normal(0, 3, (30, 4))).probs == 0.25)
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
@@ -311,7 +329,8 @@ def crossings(cal_map):
 
 
 def assert_matches_naive(cal_map, x):
-    y, cache = cal_map._transform(x)
+    with np.errstate(over="ignore"):  # 2 * -1e308 is -inf, quietly as in a forward
+        y, cache = cal_map._transform(x)
     want_y, want_active = oracles.naive_monotonic_transform(x, *cal_map._unpack())
     np.testing.assert_array_equal(y.ravel(), want_y)
     np.testing.assert_array_equal(np.signbit(y.ravel()), np.signbit(want_y))
@@ -348,13 +367,14 @@ class TestMonotonicNetForward:
         logits = rng.normal(0, 8, (100, 10))
         assert_matches_naive(cal_map, logits - logits.max(axis=1, keepdims=True))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("index, value", [(0, 1000.0), (0, np.inf), (4, np.nan)])
     def test_non_finite_parameters_raise(self, index, value, rng):
         # a raw slope of 1000 or inf makes an infinite slope; 0 * inf at
         # x = 0 is NaN, as is a NaN bias
         cal_map = init_map("monotonic_net", (2, 2), seed=0)
         cal_map.params[index] = value
-        with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
             cal_map.forward(rng.normal(0, 2, (30, 4)))
 
     def test_workspace_bounded(self):

@@ -114,7 +114,7 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # (0.13 ms against 1.0 ms for 50k values with 20 swaps)
         order = np.argsort(values, kind="stable")
         values = values[order]
-    centers = np.quantile(values, (np.arange(k) + 0.5) / k)
+    centers = _sorted_quantiles(values, (np.arange(k) + 0.5) / k)
     # values ascend, so a difference of two prefix sums rounds only against
     # the run's sum plus the values below it
     prefix = np.zeros(values.size + 1)
@@ -138,6 +138,23 @@ def kmeans_1d(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if order is not None:
         assign[order] = assign.copy()
     return centers, assign
+
+
+def _sorted_quantiles(values: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, q)`` of ascending ``values``, read directly
+    instead of through a partition, with numpy's "linear" rule and its
+    ``_lerp`` rounding: virtual index (n - 1) q, its floor and the next
+    position, and an index at or above n - 1 takes the last value."""
+    last = values.size - 1
+    index = last * q
+    lo = np.floor(index)
+    t = index - lo
+    lo = lo.astype(np.intp)
+    a, b = values[lo], values[np.minimum(lo + 1, last)]
+    d = b - a
+    quantiles = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
+    quantiles[index >= last] = values[last]
+    return quantiles
 
 
 # offsets from a split to the last value at or below its midpoint and the

@@ -30,6 +30,7 @@ MMCE_BANDWIDTH = 0.4
 SKCE_BANDWIDTH = 1.0
 DKDE_BANDWIDTH = 1.0
 _SKCE_BLOCK = _DKDE_BLOCK = 32  # samples per block of the pairwise kernels
+_KDE_BLOCK = 32  # grid points per block of kde_ece
 _SWEEP_SCREEN, _SWEEP_CELLS = 8, 1 << 18  # sweep_ece: first screen depth, bounds per pass
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])  # elementwise log-gamma
 
@@ -290,8 +291,11 @@ def kde_ece(
 
     Gaussian-kernel Nadaraya-Watson estimate of accuracy given confidence,
     integrated (trapezoid rule) against the smoothed confidence density on a
-    fixed grid over [1/L, 1].  Default bandwidth is the 1.06 * sigma * N^-1/5
-    rule of thumb, floored at 1e-3.
+    fixed grid of ``grid_points`` >= 2 points over [1/L, 1].  Default
+    bandwidth is the 1.06 * sigma * N^-1/5 rule of thumb, floored at 1e-3.
+    The grid and the confidences are scaled by 1 / (bw sqrt 2), so each
+    block of grid points builds its (block, N) kernel array in place in four
+    passes, small enough to stay in cache for its two sums.
     """
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
@@ -299,17 +303,25 @@ def kde_ece(
     if bandwidth is None:
         sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
         bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     grid = np.linspace(1.0 / n_classes, 1.0, grid_points)
-    kmat = np.subtract.outer(grid, conf)  # unnormalized Gaussian, built in place
-    kmat /= bandwidth
-    kmat *= kmat
-    kmat *= -0.5
-    np.exp(kmat, out=kmat)
-    denom = kmat.sum(axis=1)
+    scale = 1.0 / (bandwidth * np.sqrt(2.0))
+    scaled_grid, scaled_conf = grid * scale, conf * scale
+    numer, denom = np.empty(grid_points), np.empty(grid_points)
+    work = np.empty((min(_KDE_BLOCK, grid_points), n))
+    for s in range(0, grid_points, _KDE_BLOCK):
+        kmat = np.subtract.outer(scaled_grid[s:s + _KDE_BLOCK], scaled_conf,
+                                 out=work[:grid_points - s])
+        np.square(kmat, out=kmat)
+        np.negative(kmat, out=kmat)
+        np.exp(kmat, out=kmat)  # unnormalized Gaussian
+        np.matmul(kmat, correct, out=numer[s:s + _KDE_BLOCK])
+        kmat.sum(axis=1, out=denom[s:s + _KDE_BLOCK])
     with np.errstate(invalid="ignore", divide="ignore"):
-        pi = np.where(denom > 0, kmat @ correct / np.maximum(denom, 1e-300), 0.0)
+        pi = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
     density = denom / (n * bandwidth * np.sqrt(2.0 * np.pi))
     integrand = np.where(denom > 0, np.abs(grid - pi) * density, 0.0)
     return float(np.trapezoid(integrand, grid))
@@ -427,28 +439,37 @@ def skce(probs: np.ndarray, labels: np.ndarray) -> float:
     Matrix kernel = exp(-||p - p'||_1 / bw) * identity, bw = SKCE_BANDWIDTH,
     so each pair contributes exp(-||p_i - p_j||_1 / bw) <e_i - p_i, e_j - p_j>.
     The unbiased estimator averages over the N(N-1)/2 unordered pairs and may
-    be negative.  Row block [s, s + B) meets only columns s..N-1, its L1
-    distances summed class by class into one (B, N - s) buffer.
+    be negative.
+
+    Since |a - b| = a + b - 2 min(a, b), the kernel factors, for any rows
+    with sums S, into exp(-S_i / bw) exp(-S_j / bw) exp(2 sum_l min(p_il,
+    p_jl) / bw).  Each residual row carries its outer factor into the
+    residual Gram matmul.  The min factor is at most exp(2 min(S_i, S_j) /
+    bw), e^2 for probability rows at bw = 1, so it cannot overflow.  Row
+    block [s, s + B) meets only columns s..N-1, its min sums taken class by
+    class in one (B, N - s) buffer.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
     if n < 2:
         raise ValueError("SKCE needs at least 2 samples")
     resid = one_hot(labels, n_classes) - probs
-    by_class = probs.T.copy()  # contiguous columns for the class-wise distance
+    resid *= np.exp(probs.sum(axis=1, keepdims=True) / -SKCE_BANDWIDTH)
+    by_class = probs.T.copy()  # contiguous columns for the class-wise minima
+    by_class *= 2.0 / SKCE_BANDWIDTH
     total = 0.0
     for s in range(0, n, _SKCE_BLOCK):
         e = min(s + _SKCE_BLOCK, n)
-        kmat = np.zeros((e - s, n - s))
+        kmat = np.empty((e - s, n - s))
         work = np.empty_like(kmat)
-        for c in range(n_classes):
-            np.subtract.outer(by_class[c, s:e], by_class[c, s:], out=work)
-            kmat += np.abs(work, out=work)
-        np.divide(kmat, -SKCE_BANDWIDTH, out=kmat)
+        np.minimum.outer(by_class[0, s:e], by_class[0, s:], out=kmat)
+        for c in range(1, n_classes):
+            kmat += np.minimum.outer(by_class[c, s:e], by_class[c, s:], out=work)
         np.exp(kmat, out=kmat)
         kmat *= np.matmul(resid[s:e], resid[s:].T, out=work)
-        # keep strictly upper-triangular pairs (global i < j)
-        total += float(np.triu(kmat, 1).sum())
+        # keep strictly upper-triangular pairs (global i < j): only the
+        # block's diagonal square holds pairs with i >= j
+        total += float(np.triu(kmat[:, : e - s], 1).sum()) + float(kmat[:, e - s:].sum())
     return float(total / (n * (n - 1) / 2))
 
 
@@ -460,7 +481,10 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     (lgamma) so large class counts do not overflow; probabilities are
     floored at 1e-12 and renormalized for the kernel only.  Sample j's
     leave-one-out shift and normalization use only its own row of weights,
-    so blocks of j are exact on their own.
+    so blocks of j are exact on their own.  A ones column beside log a_j
+    meets the per-kernel constant beside alpha_i, so one matmul gives a
+    block's log-kernels, and the estimate is normalized after its
+    contraction with the labels, on a (B, L) array.
     """
     probs = np.asarray(probs, dtype=np.float64)
     n, n_classes = probs.shape
@@ -472,18 +496,17 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     # log K(a_j ; b_i) = lgamma(L + sum alpha_i) - sum lgamma(1 + alpha_i)
     #                    + sum alpha_i * log a_j
     const_i = _lgamma(n_classes + alpha.sum(axis=1)) - _lgamma(1.0 + alpha).sum(axis=1)
-    log_safe = np.log(safe)
+    at_j = np.column_stack([np.log(safe), np.ones(n)])
+    params_i = np.column_stack([alpha, const_i]).T  # [L + 1, i]
     events = one_hot(labels, n_classes)
     pi = np.empty_like(probs)  # [j, L] leave-one-out estimate
     for s in range(0, n, _DKDE_BLOCK):
         e = min(s + _DKDE_BLOCK, n)
-        logk = log_safe[s:e] @ alpha.T  # [j, i]
-        logk += const_i
+        logk = at_j[s:e] @ params_i  # [j, i]
         logk[np.arange(e - s), np.arange(s, e)] = -np.inf  # leave j out
         logk -= logk.max(axis=1, keepdims=True)  # stabilize per sample j
         np.exp(logk, out=logk)
-        logk /= logk.sum(axis=1, keepdims=True)
-        pi[s:e] = logk @ events
+        np.divide(logk @ events, logk.sum(axis=1, keepdims=True), out=pi[s:e])
     diff = probs - pi
     return float((diff * diff).sum(axis=1).mean())
 

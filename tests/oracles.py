@@ -8,7 +8,9 @@ run sums, which the prefix-sum rounds must match; ``frozen_structure`` reads
 the loss's own window structure; ``naive_ensemble_temp_forward`` is the
 list-and-stack forward that the row-blocked one must match bit for bit; and
 ``naive_ensemble_temp_backward`` is the per-member gradient loop over that
-stack.
+stack.  ``blocked_skce``, ``blocked_dkde_ce`` and ``inplace_kde_ece`` are
+the metric kernels as they were before their passes were cut; they reach the
+sizes the loops cannot.  ``soft_skce`` is the dense pairwise sum.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from hcal.dataset import softmax_rows
+from hcal.dataset import one_hot, softmax_rows
 from hcal.loss import _nearest_center_splits, build_windows, kmeans_weights, window_sums
 from hcal.maps import ForwardTrace
 
@@ -253,6 +255,17 @@ def naive_skce(probs, labels, bandwidth=1.0):
     return total / (n * (n - 1) / 2)
 
 
+def soft_skce(probs, true_probs, bandwidth=1.0):
+    """The ``skce`` U-statistic with each one-hot label e_y replaced by the
+    true probability vector p*: its expectation over labels drawn from p*,
+    since the labels of two different samples are independent."""
+    probs, true_probs = np.asarray(probs), np.asarray(true_probs)
+    n = probs.shape[0]
+    kern = np.exp(-np.abs(probs[:, None, :] - probs[None, :, :]).sum(axis=2) / bandwidth)
+    resid = true_probs - probs
+    return float(np.triu(kern * (resid @ resid.T), 1).sum() / (n * (n - 1) / 2))
+
+
 def naive_dkde_ce(probs, labels, bandwidth=1.0):
     """Leave-one-out Dirichlet-kernel estimate of E ||p - E[e | p]||^2: row j
     is scored against the kernel-weighted labels of every other row i, with
@@ -281,6 +294,81 @@ def naive_dkde_ce(probs, labels, bandwidth=1.0):
             estimate = sum(w for i, w in weights.items() if labels[i] == c) / norm
             total += (probs[j, c] - estimate) ** 2
     return total / n
+
+
+def blocked_skce(probs, labels, bandwidth=1.0, block=32):
+    """``skce`` with its L1 distances summed class by class from
+    ``np.subtract.outer`` in row blocks that meet only the upper triangle:
+    the package's kernel before it was factored."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n, n_classes = probs.shape
+    resid = one_hot(labels, n_classes) - probs
+    by_class = probs.T.copy()
+    total = 0.0
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        kmat = np.zeros((e - s, n - s))
+        work = np.empty_like(kmat)
+        for c in range(n_classes):
+            np.subtract.outer(by_class[c, s:e], by_class[c, s:], out=work)
+            kmat += np.abs(work, out=work)
+        np.divide(kmat, -bandwidth, out=kmat)
+        np.exp(kmat, out=kmat)
+        kmat *= np.matmul(resid[s:e], resid[s:].T, out=work)
+        total += float(np.triu(kmat, 1).sum())
+    return float(total / (n * (n - 1) / 2))
+
+
+def blocked_dkde_ce(probs, labels, bandwidth=1.0, block=32):
+    """``dkde_ce`` in sample blocks with the per-kernel constant added and
+    the weights normalized on each (block, N) array: the package's kernel
+    before its one-matmul blocks."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n, n_classes = probs.shape
+    safe = np.maximum(probs, 1e-12)
+    safe = safe / safe.sum(axis=1, keepdims=True)
+    alpha = safe / bandwidth
+    lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+    const_i = lgamma(n_classes + alpha.sum(axis=1)) - lgamma(1.0 + alpha).sum(axis=1)
+    log_safe = np.log(safe)
+    events = one_hot(labels, n_classes)
+    pi = np.empty_like(probs)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        logk = log_safe[s:e] @ alpha.T
+        logk += const_i
+        logk[np.arange(e - s), np.arange(s, e)] = -np.inf
+        logk -= logk.max(axis=1, keepdims=True)
+        np.exp(logk, out=logk)
+        logk /= logk.sum(axis=1, keepdims=True)
+        pi[s:e] = logk @ events
+    diff = probs - pi
+    return float((diff * diff).sum(axis=1).mean())
+
+
+def inplace_kde_ece(probs, labels, bandwidth=None, grid_points=1024):
+    """``kde_ece`` with its (grid, N) kernel built in place from unscaled
+    differences and its two sums taken separately: the package's kernel
+    before the pre-scaled grid and the one [correct, 1] matmul."""
+    probs = np.asarray(probs, dtype=np.float64)
+    n, n_classes = probs.shape
+    conf = probs.max(axis=1)
+    correct = (probs.argmax(axis=1) == np.asarray(labels)).astype(np.float64)
+    if bandwidth is None:
+        sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
+        bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
+    grid = np.linspace(1.0 / n_classes, 1.0, grid_points)
+    kmat = np.subtract.outer(grid, conf)
+    kmat /= bandwidth
+    kmat *= kmat
+    kmat *= -0.5
+    np.exp(kmat, out=kmat)
+    denom = kmat.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pi = np.where(denom > 0, kmat @ correct / np.maximum(denom, 1e-300), 0.0)
+    density = denom / (n * bandwidth * np.sqrt(2.0 * np.pi))
+    integrand = np.where(denom > 0, np.abs(grid - pi) * density, 0.0)
+    return float(np.trapezoid(integrand, grid))
 
 
 def naive_window_sums(vec, window):

@@ -144,6 +144,25 @@ class TestKmeans1d:
         np.testing.assert_array_equal(assign, r_assign)
         np.testing.assert_allclose(centers, r_centers, rtol=1e-12, atol=0)
 
+    # the start reads the k quantiles of the sorted values directly; it must
+    # round exactly as np.quantile does, or the fits would move
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=400),
+            st.lists(st.integers(0, 3).map(lambda t: t / 3.0), min_size=1, max_size=400),
+            st.lists(st.floats(0.0, 2e-6), min_size=1, max_size=400),
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+        ),
+        k=st.integers(1, 15),
+    )
+    @example(values=[-0.0], k=1)
+    def test_start_is_numpy_quantile_bit_for_bit(self, values, k):
+        values = np.sort(np.array(values))
+        q = (np.arange(k) + 0.5) / k
+        start = loss_mod._sorted_quantiles(values, q)
+        np.testing.assert_array_equal(start.view(np.int64), np.quantile(values, q).view(np.int64))
+
     # the loss's own inputs: sorted window centroids of softmax(2 * N(0, 1))
     # logits, up to the 2M centroids of 20,000 x 100 events
     @pytest.mark.parametrize("n, l", [(5000, 10), (200, 100), (20_000, 100)])

@@ -32,6 +32,7 @@ from hcal.metrics import (
     tcwece,
     tcwece_k,
 )
+from hcal.synthetic import make_overconfident_task, sample_labels
 
 
 def perfect_instance(n=40, l=4):
@@ -362,12 +363,22 @@ class TestKdeEce:
         with pytest.raises(ValueError, match="bandwidth"):
             kde_ece(probs, labels, bandwidth=0.0)
 
-    def test_workspace_one_grid_array(self):
-        # N=1e4: one (1024, N) kernel array alive, not three
+    @pytest.mark.parametrize("setting", [{"bandwidth": float("nan")}, {"bandwidth": float("inf")},
+                                         {"grid_points": 0}, {"grid_points": 1}])
+    def test_nonsense_settings_rejected(self, rng, setting):
+        # each of these used to score any input 0.0, perfectly calibrated
+        probs, labels = random_instance(rng)
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            kde_ece(probs, labels, **setting)
+
+    def test_workspace_grid_blocks(self):
+        # N=1e4: a (block, N) kernel array at a time, not a (1024, N) one
         gen = np.random.default_rng(0)
-        probs = gen.dirichlet(np.ones(10), size=10_000)
-        labels = gen.integers(0, 10, 10_000)
-        assert traced_peak(kde_ece, probs, labels) <= 1.1 * 1024 * 10_000 * 8
+        n = 10_000
+        probs = gen.dirichlet(np.ones(10), size=n)
+        labels = gen.integers(0, 10, n)
+        bound = 2 * metrics_mod._KDE_BLOCK * n * 8 + 10 * n * 8
+        assert traced_peak(kde_ece, probs, labels) <= bound
 
 
 class TestCwece:
@@ -495,6 +506,18 @@ class TestSkce:
         bound = 4 * metrics_mod._SKCE_BLOCK * n * 8 + 6 * n * l * 8
         assert traced_peak(skce, probs, labels) <= bound
 
+    def test_unbiased_over_label_draws(self):
+        # given the rows, two samples' labels are independent, so the mean
+        # skce over label draws from p* is soft_skce at p*
+        task = make_overconfident_task(n_train=10, n_test=200, seed=3)
+        probs, truth = softmax_rows(task.test.logits), task.true_test_probs
+        gen = np.random.default_rng(0)
+        draws = np.array([skce(probs, sample_labels(truth, gen)) for _ in range(400)])
+        expected = oracles.soft_skce(probs, truth)
+        stderr = draws.std(ddof=1) / np.sqrt(draws.size)
+        assert abs(draws.mean() - expected) <= 4 * stderr
+        assert expected > 10 * stderr  # the draws tell it apart from 0
+
 
 class TestDkdeCe:
     def test_two_identical_rows_hand_trace(self):
@@ -559,6 +582,45 @@ class TestDkdeCe:
         labels = gen.integers(0, l, n)
         bound = 2 * metrics_mod._DKDE_BLOCK * n * 8 + 12 * n * l * 8
         assert traced_peak(dkde_ce, probs, labels) <= bound
+
+
+def scale_instance(n, n_classes):
+    """Dirichlet rows where every fourth row from 1 is near one-hot, every
+    fourth from 2 repeats a random row, and every fourth from 3 sums to
+    1 +- a few ulp."""
+    gen = np.random.default_rng(1000 * n + n_classes)
+    probs = gen.dirichlet(np.ones(n_classes), size=n)
+    probs[1::4] = gen.dirichlet(np.full(n_classes, 0.02), size=probs[1::4].shape[0])
+    probs[2::4] = probs[gen.integers(0, n, size=probs[2::4].shape[0])]
+    off = probs[3::4]  # a view: the ulps land in probs
+    off[np.arange(off.shape[0]), off.argmax(axis=1)] += (
+        gen.integers(-4, 5, size=off.shape[0]) * np.spacing(1.0))
+    return probs, gen.integers(0, n_classes, size=n)
+
+
+@pytest.mark.parametrize("n_classes", [2, 10, 100])
+@pytest.mark.parametrize("n", [500, 3000])
+class TestBlockedReferencesAtScale:
+    """The kernels against their earlier blocked bodies at sizes the naive
+    loops cannot reach."""
+
+    def test_skce(self, n, n_classes):
+        probs, labels = scale_instance(n, n_classes)
+        assert skce(probs, labels) == pytest.approx(
+            oracles.blocked_skce(probs, labels), rel=1e-12, abs=1e-15
+        )
+
+    def test_dkde_ce(self, n, n_classes):
+        probs, labels = scale_instance(n, n_classes)
+        assert dkde_ce(probs, labels) == pytest.approx(
+            oracles.blocked_dkde_ce(probs, labels), rel=1e-12
+        )
+
+    def test_kde_ece(self, n, n_classes):
+        probs, labels = scale_instance(n, n_classes)
+        assert kde_ece(probs, labels) == pytest.approx(
+            oracles.inplace_kde_ece(probs, labels), rel=1e-12
+        )
 
 
 class TestReliabilityData:

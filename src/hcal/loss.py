@@ -31,9 +31,10 @@ class HCalConfig:
     """Hyperparameters of the window-alignment loss; the defaults are the
     standard training configuration.
 
-    ``norm="squared"`` switches the hinge to a squared mean gap with epsilon
-    forced to 0; combined with window=1 and uniform weighting this reduces to
-    r times the Brier score.
+    ``norm="abs"`` scores each window by its hinge max(|gap| - epsilon, 0),
+    ``norm="squared"`` by the square of that hinge.  With epsilon=0,
+    window=1 and uniform weighting the squared norm reduces to ``multiplier``
+    times the Brier score.
     """
 
     epsilon: float = 1e-20
@@ -210,20 +211,13 @@ def hcal_loss(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig) -> LossOut
     else:
         weights = kmeans_weights(window_sums(q, m) / m, cfg.clusters)
 
+    # a window's hinge is how far its |gap| exceeds epsilon; "abs" scores the
+    # hinge, "squared" its square
+    hinge = np.maximum(np.abs(gaps) - cfg.epsilon, 0.0)
     if cfg.norm == "squared":
-        # squared variant: epsilon pinned to 0 so the objective is a plain
-        # weighted mean of squared window gaps
-        per_window = gaps * gaps
-        dper = 2.0 * gaps / m
-        active = gaps != 0.0
-        max_violation = float(np.abs(gaps).max())
+        per_window, dper = hinge * hinge, 2.0 * np.copysign(hinge, gaps) / m
     else:
-        violation = np.abs(gaps) - cfg.epsilon
-        per_window = np.maximum(violation, 0.0)
-        active = violation > 0.0
-        dper = np.where(active, np.sign(gaps) / m, 0.0)
-        max_violation = float(per_window.max())
-
+        per_window, dper = hinge, np.where(hinge > 0.0, np.sign(gaps) / m, 0.0)
     value = cfg.multiplier * float(weights @ per_window)
 
     # g is dvalue/d(gap * M) per window, the gap being mean event minus mean
@@ -236,8 +230,8 @@ def hcal_loss(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig) -> LossOut
     return LossOutput(
         value=value,
         prob_grad=prob_grad_flat.reshape(probs.shape),
-        n_active_windows=int(active.sum()),
-        max_window_violation=max_violation,
+        n_active_windows=int(np.count_nonzero(hinge > 0.0)),
+        max_window_violation=float(hinge.max()),
     )
 
 

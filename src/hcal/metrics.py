@@ -70,9 +70,14 @@ def _require_nonempty(probs: np.ndarray) -> None:
         raise ValueError("empty input")
 
 
-def _check_bins(bins: int) -> None:
+def _check_bins(bins: int, name: str = "bins") -> None:
     if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
+        raise ValueError(f"{name} must be >= 1, got {bins}")
+
+
+def _check_order(r: int) -> None:
+    if r not in (1, 2):
+        raise ValueError(f"order r must be 1 or 2, got {r}")
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -111,10 +116,7 @@ class BinStats:
 
 def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> BinStats:
     """Equal-width top-label bin statistics plus the overall aggregates."""
-    _require_nonempty(probs)
-    _check_bins(bins)
-    conf, correct = top_label(probs, labels)
-    counts, conf_sum, corr_sum = _bin_sums(conf, correct, equal_width_bin_index(conf, bins), bins)
+    conf, correct, (counts, conf_sum, corr_sum) = _top_label_sums(probs, labels, "equal_width", bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
         acc = np.where(counts > 0, corr_sum / np.maximum(counts, 1), np.nan)
@@ -134,23 +136,27 @@ def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_
 # top-label metrics
 
 
-def _top_label_bins(
-    probs: np.ndarray, labels: np.ndarray, binning: str, bins: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per nonempty bin (count, accuracy, mean confidence) of the top-label
-    prediction."""
+def _top_label_sums(probs: np.ndarray, labels: np.ndarray, binning: str, bins: int) -> tuple:
+    """Top-label (confidence, correctness), sorted by confidence for equal
+    mass, and their per-bin (count, sum of confidences, sum of correctness)."""
+    if binning not in ("equal_width", "equal_mass"):
+        raise ValueError(f"unknown binning {binning!r}")
     _require_nonempty(probs)
     _check_bins(bins)
     conf, correct = top_label(probs, labels)
     if binning == "equal_width":
         idx = equal_width_bin_index(conf, bins)
-    elif binning == "equal_mass":
+    else:
         order = stable_argsort(conf)
         conf, correct = conf[order], correct[order]
         idx = np.repeat(np.arange(bins), np.diff(equal_mass_bounds(conf.size, bins)))
-    else:
-        raise ValueError(f"unknown binning {binning!r}")
-    counts, conf_sum, corr_sum = _bin_sums(conf, correct, idx, bins)
+    return conf, correct, _bin_sums(conf, correct, idx, bins)
+
+
+def _top_label_bins(probs: np.ndarray, labels: np.ndarray, binning: str, bins: int) -> tuple:
+    """Per nonempty bin (count, accuracy, mean confidence) of the top-label
+    prediction."""
+    _, _, (counts, conf_sum, corr_sum) = _top_label_sums(probs, labels, binning, bins)
     mask = counts > 0
     counts = counts[mask]
     return counts, corr_sum[mask] / counts, conf_sum[mask] / counts
@@ -168,14 +174,13 @@ def ece(
     r=1 is the count-weighted mean absolute accuracy/confidence gap; r=2 is
     the square root of the count-weighted mean squared gap.
     """
+    _check_order(r)
     counts, acc, conf = _top_label_bins(probs, labels, binning, bins)
     gap = np.abs(acc - conf)
     w = counts / counts.sum()
     if r == 1:
         return float(w @ gap)
-    if r == 2:
-        return float(np.sqrt(w @ (gap * gap)))
-    raise ValueError(f"order r must be 1 or 2, got {r}")
+    return float(np.sqrt(w @ (gap * gap)))
 
 
 def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
@@ -185,13 +190,15 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
     gap, floors the weighted total at zero, and takes the square root.  Every
     bin must contain at least 2 samples.
     """
-    counts, acc, conf = _top_label_bins(probs, labels, "equal_mass", bins)
-    n = int(counts.sum())
+    _require_nonempty(probs)
+    _check_bins(bins)
+    n = len(probs)
     if n // bins < 2:  # the smallest equal-mass bin holds n // bins samples
         raise ValueError(
             f"debiased ECE needs >= 2 samples per bin; a bin got {n // bins} "
             f"(N={n}, bins={bins})"
         )
+    counts, acc, conf = _top_label_bins(probs, labels, "equal_mass", bins)
     gap = acc - conf
     total = (counts / n) @ (gap * gap - acc * (1.0 - acc) / (counts - 1))
     return float(np.sqrt(max(total, 0.0)))
@@ -233,19 +240,11 @@ def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
     non-decreasing in confidence order, found by screening the counts on
     their first bins and checking only survivors deeper
     (:func:`_monotone_bin_count`)."""
+    _check_order(r)
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
-    n = conf.size
-    order = stable_argsort(conf)
-    csum_k = np.concatenate([[0.0], np.cumsum(correct[order])])
-    csum_c = np.concatenate([[0.0], np.cumsum(conf[order])])
-    bounds = equal_mass_bounds(n, _monotone_bin_count(csum_k))
-    sizes = np.diff(bounds)
-    gaps = np.abs(np.diff(csum_k[bounds]) / sizes - np.diff(csum_c[bounds]) / sizes)
-    w = sizes / n
-    if r == 1:
-        return float(w @ gaps)
-    return float(np.sqrt(w @ (gaps * gaps)))
+    csum_k = np.concatenate([[0.0], np.cumsum(correct[stable_argsort(conf)])])
+    return ece(probs, labels, "equal_mass", _monotone_bin_count(csum_k), r)
 
 
 def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -331,14 +330,34 @@ def kde_ece(
 # classwise metrics
 
 
-def _classwise_bin_gaps(
-    class_probs: np.ndarray, class_events: np.ndarray, idx: np.ndarray, bins: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per nonempty bin (count, |mean event - mean prob|) for one class
-    column under bin assignment ``idx``."""
-    counts, p_sum, e_sum = _bin_sums(class_probs, class_events, idx, bins)
-    mask = counts > 0
-    return counts[mask], np.abs(e_sum[mask] - p_sum[mask]) / counts[mask]
+def _classwise(probs, labels, bins: int, r: int, threshold: float | None,
+               kmeans: bool) -> list[float]:
+    """Per class with entries above ``threshold`` (every entry when None),
+    the retained-count-weighted mean over its nonempty bins of
+    |mean event - mean prob| ** r.  Bins are ``bins`` equal-width bins, or
+    with ``kmeans`` the 1-D k-means clusters of the retained entries (at most
+    one per entry)."""
+    _check_bins(bins, "k" if kmeans else "bins")
+    if threshold is not None and not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+    _require_nonempty(probs)
+    probs = np.asarray(probs, dtype=np.float64)
+    per_class = []
+    for p, e in zip(probs.T, one_hot(labels, probs.shape[1]).T):
+        if threshold is not None:
+            keep = p > threshold
+            p, e = p[keep], e[keep]
+        if p.size == 0:
+            continue
+        k = min(bins, p.size) if kmeans else bins
+        idx = kmeans_1d(p, k)[1] if kmeans else equal_width_bin_index(p, bins)
+        counts, p_sum, e_sum = _bin_sums(p, e, idx, k)
+        mask = counts > 0
+        gaps = np.abs(e_sum[mask] - p_sum[mask]) / counts[mask]
+        per_class.append(float((counts[mask] / p.size) @ (gaps if r == 1 else gaps * gaps)))
+    if not per_class:
+        raise ValueError(f"no entries retained above threshold {threshold}")
+    return per_class
 
 
 def cwece(
@@ -353,27 +372,15 @@ def cwece(
     over classes (no 1/L), 14 bins by default to keep it distinct from "a".
     variant "r2": order-2 with square root, class-averaged, 15 bins.
     """
-    _require_nonempty(probs)
-    probs = np.asarray(probs, dtype=np.float64)
-    n, n_classes = probs.shape
+    if variant not in ("a", "s", "r2"):
+        raise ValueError(f"unknown cwece variant {variant!r}")
     if bins is None:
         bins = CWECE_S_BINS if variant == "s" else DEFAULT_BINS
-    events = one_hot(labels, n_classes)
-    total = 0.0
-    for l in range(n_classes):
-        idx = equal_width_bin_index(probs[:, l], bins)
-        counts, gaps = _classwise_bin_gaps(probs[:, l], events[:, l], idx, bins)
-        if variant == "r2":
-            total += float((counts / n) @ (gaps * gaps))
-        else:
-            total += float((counts / n) @ gaps)
-    if variant == "a":
-        return total / n_classes
+    per_class = _classwise(probs, labels, bins, 2 if variant == "r2" else 1, None, kmeans=False)
     if variant == "s":
-        return total
-    if variant == "r2":
-        return float(np.sqrt(total / n_classes))
-    raise ValueError(f"unknown cwece variant {variant!r}")
+        return sum(per_class)
+    mean = sum(per_class) / len(per_class)
+    return float(np.sqrt(mean)) if variant == "r2" else mean
 
 
 def tcwece(
@@ -388,7 +395,8 @@ def tcwece(
     Per class the gaps are weighted by retained count; classes with no
     retained entries are skipped and the rest averaged.
     """
-    return _tcwece_impl(probs, labels, threshold, bins, kmeans_bins=None)
+    threshold = 1.0 / np.shape(probs)[1] if threshold is None else threshold
+    return float(np.mean(_classwise(probs, labels, bins, 1, threshold, kmeans=False)))
 
 
 def tcwece_k(
@@ -399,34 +407,8 @@ def tcwece_k(
 ) -> float:
     """Thresholded classwise error with 1-D k-means bin assignments instead
     of fixed equal-width edges."""
-    return _tcwece_impl(probs, labels, threshold, bins=None, kmeans_bins=k)
-
-
-def _tcwece_impl(probs, labels, threshold, bins, kmeans_bins) -> float:
-    _require_nonempty(probs)
-    probs = np.asarray(probs, dtype=np.float64)
-    n, n_classes = probs.shape
-    if threshold is None:
-        threshold = 1.0 / n_classes
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    events = one_hot(labels, n_classes)
-    per_class = []
-    for l in range(n_classes):
-        keep = probs[:, l] > threshold
-        retained = int(keep.sum())
-        if retained == 0:
-            continue
-        p, e = probs[keep, l], events[keep, l]
-        if kmeans_bins is None:
-            counts, gaps = _classwise_bin_gaps(p, e, equal_width_bin_index(p, bins), bins)
-        else:
-            kk = min(kmeans_bins, retained)
-            counts, gaps = _classwise_bin_gaps(p, e, kmeans_1d(p, kk)[1], kk)
-        per_class.append(float((counts / retained) @ gaps))
-    if not per_class:
-        raise ValueError(f"no entries retained above threshold {threshold}")
-    return float(np.mean(per_class))
+    threshold = 1.0 / np.shape(probs)[1] if threshold is None else threshold
+    return float(np.mean(_classwise(probs, labels, k, 1, threshold, kmeans=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -440,10 +440,11 @@ def reduceat_kmeans_1d(values, k, max_iter=100):
     return centers, assign
 
 
-def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None, perm=None):
+def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None, perm=None,
+                    norm="abs"):
     """Direct evaluation of the window objective from its definition, every
     sum correctly rounded; a given ``perm`` (sorted position -> flat index)
-    replaces the sort order."""
+    replaces the sort order.  ``norm="squared"`` squares each window's hinge."""
     probs = np.asarray(probs)
     n, n_classes = probs.shape
     entries = []  # (prob, flat_index, event), by flat index
@@ -462,7 +463,8 @@ def naive_hcal_loss(probs, labels, epsilon, window, multiplier, weights=None, pe
         run = entries[w0:w0 + window]
         t1 = math.fsum((1 - p) for p, _, ev in run if ev)
         t2 = math.fsum(p for p, _, ev in run if not ev)
-        terms.append(weights[w0] * max(abs(t1 - t2) / window - epsilon, 0.0))
+        hinge = max(abs(t1 - t2) / window - epsilon, 0.0)
+        terms.append(weights[w0] * (hinge * hinge if norm == "squared" else hinge))
     return multiplier * math.fsum(terms)
 
 

@@ -253,6 +253,34 @@ class TestHcalLoss:
         ]
         assert all(v1 >= v2 for v1, v2 in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_squared_norm_honours_epsilon(self, seed):
+        # the squared norm squares the same epsilon hinge the abs norm takes
+        gen = np.random.default_rng(seed)
+        probs, labels = random_prob_instance(gen, max_n=8)
+        values = []
+        for epsilon in (0.0, 0.01, 0.1):
+            cfg = HCalConfig(epsilon=epsilon, window=3, multiplier=10.0, clusters=3,
+                             norm="squared")
+            perm, weights = oracles.frozen_structure(probs, labels, cfg)
+            out = hcal_loss(probs, labels, cfg)
+
+            def frozen_loss(p):
+                return oracles.naive_hcal_loss(p, labels, epsilon, 3, 10.0, weights, perm,
+                                               norm="squared")
+
+            assert out.value == pytest.approx(frozen_loss(probs), rel=1e-10, abs=1e-12)
+            # the squared hinge is smooth, so central differences converge
+            h = 1e-6
+            fd = np.zeros_like(probs)
+            for i, j in np.ndindex(*probs.shape):
+                bump = np.zeros_like(probs)
+                bump[i, j] = h
+                fd[i, j] = (frozen_loss(probs + bump) - frozen_loss(probs - bump)) / (2 * h)
+            np.testing.assert_allclose(out.prob_grad, fd, rtol=1e-5, atol=1e-6)
+            values.append(out.value)
+        assert values[0] >= values[1] >= values[2]
+
     def test_brier_degeneracy(self, rng):
         for _ in range(20):
             probs, labels = random_prob_instance(rng)

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import re
 import tracemalloc
 from unittest import mock
 
@@ -763,6 +764,39 @@ class TestBinsOverrideEveryMetric:
             evaluate(probs, labels, ["ece_em", "dece"], bins=bins)
         with pytest.raises(ValueError, match=f"bins must be >= 1, got {bins}"):
             reliability_data(probs, labels, bins=bins)
+
+
+# bad settings of the binned metrics, each with the message that names it
+BAD_SETTINGS = {
+    "ece_r3": (lambda p, y: ece(p, y, r=3), "r must be 1 or 2, got 3"),
+    "ece_binning": (lambda p, y: ece(p, y, "quantile"), "unknown binning 'quantile'"),
+    "dece_bins": (lambda p, y: dece(p, y, bins=101), "a bin got 1 (N=200, bins=101)"),
+    "sweep_r0": (lambda p, y: sweep_ece(p, y, r=0), "r must be 1 or 2, got 0"),
+    "sweep_r3": (lambda p, y: sweep_ece(p, y, r=3), "r must be 1 or 2, got 3"),
+    "cwece_variant": (lambda p, y: cwece(p, y, variant="x"), "unknown cwece variant 'x'"),
+    "cwece_bins0": (lambda p, y: cwece(p, y, bins=0), "bins must be >= 1, got 0"),
+    "tcwece_bins0": (lambda p, y: tcwece(p, y, bins=0), "bins must be >= 1, got 0"),
+    "tcwece_k0": (lambda p, y: tcwece_k(p, y, k=0), "k must be >= 1, got 0"),
+    "tcwece_k-1": (lambda p, y: tcwece_k(p, y, k=-1), "k must be >= 1, got -1"),
+}
+
+
+class TestSettingsRejectedBeforeWork:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+    def test_bad_setting_raises_before_any_work(self, case, monkeypatch):
+        gen = np.random.default_rng(0)
+        probs, labels = gen.dirichlet(np.ones(4), size=200), gen.integers(0, 4, 200)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the settings were checked")
+
+        for name in ("top_label", "one_hot", "stable_argsort", "equal_width_bin_index",
+                     "kmeans_1d"):
+            monkeypatch.setattr(metrics_mod, name, no_work)
+        call, message = BAD_SETTINGS[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(probs, labels)
 
 
 class TestRegistryAndReport:

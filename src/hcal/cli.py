@@ -16,12 +16,12 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .dataset import LogitDataset, load_dataset, softmax_rows
+from .dataset import LogitDataset, load_dataset, softmax_rows, write_csv
 from .diagram import render_reliability_svg
 from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
 from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
 from .metrics import (DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric,
-                      reliability_data, write_csv)
+                      reliability_data)
 from .optim import TrainConfig, check_trainable, standard_grid, select_model, train_one
 
 

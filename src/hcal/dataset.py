@@ -12,6 +12,7 @@ means CSV, anything else binary):
 
 from __future__ import annotations
 
+import csv
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 _MAGIC = b"HCAL"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIII")  # magic, version, N, L
+PROB_ATOL = 1e-9  # check_prob_matrix's tolerance on entries and row sums
 
 
 class DatasetFormatError(ValueError):
@@ -81,19 +83,20 @@ def check_labels(labels: np.ndarray, n_classes: int) -> None:
         raise ValueError(f"label out of range at row {bad}: {labels[bad]} not in [0, {n_classes})")
 
 
-def check_prob_matrix(probs: np.ndarray, atol: float = 1e-9) -> None:
-    """Validate a row-stochastic probability matrix; raises on violation."""
+def check_prob_matrix(probs: np.ndarray) -> None:
+    """Validate a row-stochastic probability matrix, within ``PROB_ATOL``;
+    raises on violation."""
     probs = np.asarray(probs)
     if probs.ndim != 2:
         raise ValueError(f"probability matrix must be 2-D, got {probs.shape}")
     if not np.all(np.isfinite(probs)):
         raise ValueError("probability matrix contains non-finite entries")
-    if probs.min() < -atol or probs.max() > 1 + atol:
+    if probs.min() < -PROB_ATOL or probs.max() > 1 + PROB_ATOL:
         raise ValueError("probability entries outside [0, 1]")
     sums = probs.sum(axis=1)
     worst = float(np.abs(sums - 1.0).max())
-    if worst > atol:
-        raise ValueError(f"rows must sum to 1 within {atol}; worst deviation {worst:g}")
+    if worst > PROB_ATOL:
+        raise ValueError(f"rows must sum to 1 within {PROB_ATOL}; worst deviation {worst:g}")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -212,15 +215,21 @@ def _read_binary(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return logits, labels
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write UTF-8 CSV with LF (``"\\n"``) line endings on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_dataset(ds: LogitDataset, path: str | Path) -> None:
     """Write a dataset as CSV for a ``.csv`` suffix, else binary (binary
     round-trips bit-exactly)."""
     path = Path(path)
     if _is_csv(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join([f"logit_{i}" for i in range(ds.n_classes)] + ["label"]) + "\n")
-            for row, lab in zip(ds.logits, ds.labels):
-                fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
+        rows = ([*map(repr, row.tolist()), int(lab)] for row, lab in zip(ds.logits, ds.labels))
+        write_csv(path, [f"logit_{i}" for i in range(ds.n_classes)] + ["label"], rows)
     else:
         n, l = ds.logits.shape
         parts = [

@@ -469,19 +469,7 @@ def load_map(path: str | Path) -> CalibrationMap:
         raise ValueError(f"{path}: unknown family id {fam_id}")
     params = np.frombuffer(raw, dtype="<f8", offset=_MAP_HEADER.size).copy()
     try:
-        return cls(*(h0, h1)[:len(cls.hyper_names)], seed=_read_sidecar_seed(path),
-                   params=params, n_classes=n_classes)
+        return cls(*(h0, h1)[:len(cls.hyper_names)], params=params, n_classes=n_classes)
     except ValueError as exc:  # the family's checks of its sizes and parameters
         raise ValueError(f"{path}: {exc}") from None
 
-
-def _read_sidecar_seed(path: Path) -> int:
-    sidecar = path.with_name(path.name + ".meta.txt")
-    if sidecar.exists():
-        for line in sidecar.read_text(encoding="utf-8").splitlines():
-            if line.startswith("seed"):
-                try:
-                    return int(line.split("=")[1])
-                except (IndexError, ValueError):
-                    pass
-    return 0

@@ -12,7 +12,6 @@ Conventions shared across the suite:
 
 from __future__ import annotations
 
-import csv
 import inspect
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import loss as loss_mod
-from .dataset import check_labels, one_hot, stable_argsort
+from .dataset import check_labels, check_prob_matrix, one_hot, stable_argsort, write_csv
 from .loss import kmeans_1d
 
 DEFAULT_BINS = 15
@@ -29,6 +28,7 @@ CWECE_S_BINS = DEFAULT_BINS - 1  # keeps cwece_s distinct from cwece_a
 MMCE_BANDWIDTH = 0.4
 SKCE_BANDWIDTH = 1.0
 DKDE_BANDWIDTH = 1.0
+KDE_GRID_POINTS = 1024  # kde_ece's integration grid over [1/L, 1]
 _SKCE_BLOCK = _DKDE_BLOCK = 32  # samples per block of the pairwise kernels
 _KDE_BLOCK = 32  # grid points per block of kde_ece
 _SWEEP_SCREEN, _SWEEP_CELLS = 8, 1 << 18  # sweep_ece: first screen depth, bounds per pass
@@ -43,7 +43,14 @@ def top_label(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     """(confidence, correctness) of the argmax prediction per sample."""
     probs = np.asarray(probs, dtype=np.float64)
     pred = probs.argmax(axis=1)
-    return probs.max(axis=1), (pred == np.asarray(labels)).astype(np.float64)
+    return probs[np.arange(pred.size), pred], (pred == np.asarray(labels)).astype(np.float64)
+
+
+def _ranked_top_label(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`top_label` in stable ascending confidence order."""
+    conf, correct = top_label(probs, labels)
+    order = stable_argsort(conf)
+    return conf[order], correct[order]
 
 
 def equal_width_bin_index(values: np.ndarray, bins: int) -> np.ndarray:
@@ -71,6 +78,8 @@ def _require_nonempty(probs: np.ndarray) -> None:
 
 
 def _check_bins(bins: int, name: str = "bins") -> None:
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {bins!r}")
     if bins < 1:
         raise ValueError(f"{name} must be >= 1, got {bins}")
 
@@ -78,14 +87,6 @@ def _check_bins(bins: int, name: str = "bins") -> None:
 def _check_order(r: int) -> None:
     if r not in (1, 2):
         raise ValueError(f"order r must be 1 or 2, got {r}")
-
-
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write a report: UTF-8 CSV with LF (``"\\n"``) line endings."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 @dataclass
@@ -143,23 +144,34 @@ def _top_label_sums(probs: np.ndarray, labels: np.ndarray, binning: str, bins: i
         raise ValueError(f"unknown binning {binning!r}")
     _require_nonempty(probs)
     _check_bins(bins)
+    if binning == "equal_mass":
+        conf, correct = _ranked_top_label(probs, labels)
+        return conf, correct, _equal_mass_sums(conf, correct, bins)
     conf, correct = top_label(probs, labels)
-    if binning == "equal_width":
-        idx = equal_width_bin_index(conf, bins)
-    else:
-        order = stable_argsort(conf)
-        conf, correct = conf[order], correct[order]
-        idx = np.repeat(np.arange(bins), np.diff(equal_mass_bounds(conf.size, bins)))
-    return conf, correct, _bin_sums(conf, correct, idx, bins)
+    return conf, correct, _bin_sums(conf, correct, equal_width_bin_index(conf, bins), bins)
 
 
-def _top_label_bins(probs: np.ndarray, labels: np.ndarray, binning: str, bins: int) -> tuple:
-    """Per nonempty bin (count, accuracy, mean confidence) of the top-label
-    prediction."""
-    _, _, (counts, conf_sum, corr_sum) = _top_label_sums(probs, labels, binning, bins)
+def _equal_mass_sums(conf: np.ndarray, correct: np.ndarray, bins: int) -> tuple:
+    """Per-bin sums of ``bins`` equal-mass bins over confidence-sorted samples."""
+    idx = np.repeat(np.arange(bins), np.diff(equal_mass_bounds(conf.size, bins)))
+    return _bin_sums(conf, correct, idx, bins)
+
+
+def _nonempty_bins(counts: np.ndarray, conf_sum: np.ndarray, corr_sum: np.ndarray) -> tuple:
+    """Per nonempty bin (count, accuracy, mean confidence)."""
     mask = counts > 0
     counts = counts[mask]
     return counts, corr_sum[mask] / counts, conf_sum[mask] / counts
+
+
+def _binned_gap(sums: tuple, r: int) -> float:
+    """From per-bin (count, sum of confidences, sum of correctness), the
+    count-weighted mean |accuracy - confidence| (r=1), or the root of the
+    count-weighted mean squared gap (r=2)."""
+    counts, acc, conf = _nonempty_bins(*sums)
+    gap = np.abs(acc - conf)
+    w = counts / counts.sum()
+    return float(w @ gap) if r == 1 else float(np.sqrt(w @ (gap * gap)))
 
 
 def ece(
@@ -175,12 +187,7 @@ def ece(
     the square root of the count-weighted mean squared gap.
     """
     _check_order(r)
-    counts, acc, conf = _top_label_bins(probs, labels, binning, bins)
-    gap = np.abs(acc - conf)
-    w = counts / counts.sum()
-    if r == 1:
-        return float(w @ gap)
-    return float(np.sqrt(w @ (gap * gap)))
+    return _binned_gap(_top_label_sums(probs, labels, binning, bins)[2], r)
 
 
 def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
@@ -198,7 +205,7 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
             f"debiased ECE needs >= 2 samples per bin; a bin got {n // bins} "
             f"(N={n}, bins={bins})"
         )
-    counts, acc, conf = _top_label_bins(probs, labels, "equal_mass", bins)
+    counts, acc, conf = _nonempty_bins(*_top_label_sums(probs, labels, "equal_mass", bins)[2])
     gap = acc - conf
     total = (counts / n) @ (gap * gap - acc * (1.0 - acc) / (counts - 1))
     return float(np.sqrt(max(total, 0.0)))
@@ -206,7 +213,7 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
 
 def ace(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
     """Unweighted mean absolute gap over the nonempty equal-width bins."""
-    _, acc, conf = _top_label_bins(probs, labels, "equal_width", bins)
+    _, acc, conf = _nonempty_bins(*_top_label_sums(probs, labels, "equal_width", bins)[2])
     return float(np.abs(acc - conf).mean())
 
 
@@ -239,23 +246,22 @@ def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
     """Equal-mass ECE at the largest bin count whose bin accuracies are
     non-decreasing in confidence order, found by screening the counts on
     their first bins and checking only survivors deeper
-    (:func:`_monotone_bin_count`)."""
+    (:func:`_monotone_bin_count`).  One ranking serves both steps."""
     _check_order(r)
     _require_nonempty(probs)
-    conf, correct = top_label(probs, labels)
-    csum_k = np.concatenate([[0.0], np.cumsum(correct[stable_argsort(conf)])])
-    return ece(probs, labels, "equal_mass", _monotone_bin_count(csum_k), r)
+    conf, correct = _ranked_top_label(probs, labels)
+    bins = _monotone_bin_count(np.concatenate([[0.0], np.cumsum(correct)]))
+    return _binned_gap(_equal_mass_sums(conf, correct, bins), r)
 
 
 def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
     """Max gap between cumulative correctness and confidence mass, over
     samples in (stable) ascending confidence order."""
     _require_nonempty(probs)
-    conf, correct = top_label(probs, labels)
-    order = stable_argsort(conf)
+    conf, correct = _ranked_top_label(probs, labels)
     n = conf.size
-    h = np.cumsum(correct[order]) / n
-    g = np.cumsum(conf[order]) / n
+    h = np.cumsum(correct) / n
+    g = np.cumsum(conf) / n
     return float(np.abs(h - g).max())
 
 
@@ -271,27 +277,21 @@ def mmce(probs: np.ndarray, labels: np.ndarray) -> float:
     running sum in O(N log N).
     """
     _require_nonempty(probs)
-    conf, correct = top_label(probs, labels)
-    order = stable_argsort(conf)
-    c, r = conf[order], (correct - conf)[order]
+    c, correct = _ranked_top_label(probs, labels)
+    r = correct - c
     f = np.exp(-(c - c[0]) / MMCE_BANDWIDTH)
     below = np.concatenate([[0.0], np.cumsum(r / f)[:-1]])
     total = r @ r + 2.0 * (r * f) @ below
     return float(np.sqrt(max(total / (c.size * c.size), 0.0)))
 
 
-def kde_ece(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    bandwidth: float | None = None,
-    grid_points: int = 1024,
-) -> float:
+def kde_ece(probs: np.ndarray, labels: np.ndarray) -> float:
     """Kernel-smoothed top-label calibration error.
 
     Gaussian-kernel Nadaraya-Watson estimate of accuracy given confidence,
     integrated (trapezoid rule) against the smoothed confidence density on a
-    fixed grid of ``grid_points`` >= 2 points over [1/L, 1].  Default
-    bandwidth is the 1.06 * sigma * N^-1/5 rule of thumb, floored at 1e-3.
+    fixed grid of ``KDE_GRID_POINTS`` points over [1/L, 1].  The bandwidth
+    is the 1.06 * sigma * N^-1/5 rule of thumb, floored at 1e-3.
     The grid and the confidences are scaled by 1 / (bw sqrt 2), so each
     block of grid points builds its (block, N) kernel array in place in four
     passes, small enough to stay in cache for its two sums.
@@ -299,21 +299,16 @@ def kde_ece(
     _require_nonempty(probs)
     conf, correct = top_label(probs, labels)
     n, n_classes = np.asarray(probs).shape
-    if bandwidth is None:
-        sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
-        bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
-    if not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    grid = np.linspace(1.0 / n_classes, 1.0, grid_points)
+    sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
+    bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
+    grid = np.linspace(1.0 / n_classes, 1.0, KDE_GRID_POINTS)
     scale = 1.0 / (bandwidth * np.sqrt(2.0))
     scaled_grid, scaled_conf = grid * scale, conf * scale
-    numer, denom = np.empty(grid_points), np.empty(grid_points)
-    work = np.empty((min(_KDE_BLOCK, grid_points), n))
-    for s in range(0, grid_points, _KDE_BLOCK):
+    numer, denom = np.empty(KDE_GRID_POINTS), np.empty(KDE_GRID_POINTS)
+    work = np.empty((_KDE_BLOCK, n))
+    for s in range(0, KDE_GRID_POINTS, _KDE_BLOCK):
         kmat = np.subtract.outer(scaled_grid[s:s + _KDE_BLOCK], scaled_conf,
-                                 out=work[:grid_points - s])
+                                 out=work[:KDE_GRID_POINTS - s])
         np.square(kmat, out=kmat)
         np.negative(kmat, out=kmat)
         np.exp(kmat, out=kmat)  # unnormalized Gaussian
@@ -330,21 +325,19 @@ def kde_ece(
 # classwise metrics
 
 
-def _classwise(probs, labels, bins: int, r: int, threshold: float | None,
-               kmeans: bool) -> list[float]:
-    """Per class with entries above ``threshold`` (every entry when None),
-    the retained-count-weighted mean over its nonempty bins of
-    |mean event - mean prob| ** r.  Bins are ``bins`` equal-width bins, or
-    with ``kmeans`` the 1-D k-means clusters of the retained entries (at most
-    one per entry)."""
+def _classwise(probs, labels, bins: int, r: int, thresholded: bool, kmeans: bool) -> list[float]:
+    """Per class with retained entries, the retained-count-weighted mean over
+    its nonempty bins of |mean event - mean prob| ** r.  Every entry is
+    retained, or with ``thresholded`` only those above 1/L.  Bins are
+    ``bins`` equal-width bins, or with ``kmeans`` the 1-D k-means clusters
+    of the retained entries (at most one per entry)."""
     _check_bins(bins, "k" if kmeans else "bins")
-    if threshold is not None and not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     _require_nonempty(probs)
     probs = np.asarray(probs, dtype=np.float64)
+    threshold = 1.0 / probs.shape[1]
     per_class = []
     for p, e in zip(probs.T, one_hot(labels, probs.shape[1]).T):
-        if threshold is not None:
+        if thresholded:
             keep = p > threshold
             p, e = p[keep], e[keep]
         if p.size == 0:
@@ -356,7 +349,7 @@ def _classwise(probs, labels, bins: int, r: int, threshold: float | None,
         gaps = np.abs(e_sum[mask] - p_sum[mask]) / counts[mask]
         per_class.append(float((counts[mask] / p.size) @ (gaps if r == 1 else gaps * gaps)))
     if not per_class:
-        raise ValueError(f"no entries retained above threshold {threshold}")
+        raise ValueError(f"no entries retained above threshold 1/L = {threshold}")
     return per_class
 
 
@@ -376,39 +369,28 @@ def cwece(
         raise ValueError(f"unknown cwece variant {variant!r}")
     if bins is None:
         bins = CWECE_S_BINS if variant == "s" else DEFAULT_BINS
-    per_class = _classwise(probs, labels, bins, 2 if variant == "r2" else 1, None, kmeans=False)
+    per_class = _classwise(probs, labels, bins, 2 if variant == "r2" else 1,
+                           thresholded=False, kmeans=False)
     if variant == "s":
         return sum(per_class)
     mean = sum(per_class) / len(per_class)
     return float(np.sqrt(mean)) if variant == "r2" else mean
 
 
-def tcwece(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    threshold: float | None = None,
-    bins: int = DEFAULT_BINS,
-) -> float:
+def tcwece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
     """Thresholded classwise error: only (sample, class) entries with
-    probability strictly above ``threshold`` (default 1/L) are scored.
+    probability strictly above 1/L are scored.
 
     Per class the gaps are weighted by retained count; classes with no
     retained entries are skipped and the rest averaged.
     """
-    threshold = 1.0 / np.shape(probs)[1] if threshold is None else threshold
-    return float(np.mean(_classwise(probs, labels, bins, 1, threshold, kmeans=False)))
+    return float(np.mean(_classwise(probs, labels, bins, 1, thresholded=True, kmeans=False)))
 
 
-def tcwece_k(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    k: int = DEFAULT_BINS,
-    threshold: float | None = None,
-) -> float:
+def tcwece_k(probs: np.ndarray, labels: np.ndarray, k: int = DEFAULT_BINS) -> float:
     """Thresholded classwise error with 1-D k-means bin assignments instead
     of fixed equal-width edges."""
-    threshold = 1.0 / np.shape(probs)[1] if threshold is None else threshold
-    return float(np.mean(_classwise(probs, labels, k, 1, threshold, kmeans=True)))
+    return float(np.mean(_classwise(probs, labels, k, 1, thresholded=True, kmeans=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +554,17 @@ def evaluate(
 ) -> MetricReport:
     """Compute the requested metrics (default: the whole registry).
 
-    ``bins`` (>= 1) overrides the bin count of every binned metric (see
-    :data:`METRICS`; otherwise each uses its documented default).
+    ``bins`` (an integer >= 1) overrides the bin count of every binned metric
+    (see :data:`METRICS`; otherwise each uses its documented default).  A
+    matrix with a non-finite entry is rejected before any metric runs.
     """
     ids = metric_ids if metric_ids is not None else list(METRICS)
-    check_labels(labels, np.shape(probs)[1])
     if bins is not None:
         _check_bins(bins)
+    probs = np.asarray(probs)
+    if not np.isfinite(probs.sum()):  # one cheap pass; the full check names the fault
+        check_prob_matrix(probs)
+    check_labels(labels, probs.shape[1])
     values = {}
     for mid in ids:
         fn = get_metric(mid)

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LogitDataset, softmax_rows
+from .dataset import LogitDataset, softmax_rows, write_csv
 from .loss import LossOutput, resolve_loss
 from .maps import STANDARD_HYPER_GRID, CalibrationMap, hyper_tuple, init_map
-from .metrics import get_metric, write_csv
+from .metrics import get_metric
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

@@ -14,6 +14,9 @@ import numpy as np
 
 from .dataset import LogitDataset, softmax_rows
 
+OVERCONFIDENT_LOGIT_SCALE = 1.5  # std of make_overconfident_task's true logits
+CALIBRATED_LOGIT_SCALE = 1.0  # std of make_calibrated_task's logits
+
 
 @dataclass(frozen=True)
 class SyntheticTask:
@@ -37,14 +40,13 @@ def make_overconfident_task(
     n_test: int = 10000,
     n_classes: int = 10,
     temperature: float = 0.4,
-    logit_scale: float = 1.5,
     seed: int = 0,
 ) -> SyntheticTask:
     """Overconfident synthetic task: observed logits = true logits / temperature."""
     rng = np.random.default_rng(seed)
     out = []
     for n, tag in ((n_train, "train"), (n_test, "test")):
-        true_logits = rng.normal(0.0, logit_scale, size=(n, n_classes))
+        true_logits = rng.normal(0.0, OVERCONFIDENT_LOGIT_SCALE, size=(n, n_classes))
         true_probs = softmax_rows(true_logits)
         labels = sample_labels(true_probs, rng)
         observed = true_logits / temperature
@@ -57,11 +59,11 @@ def make_overconfident_task(
 
 
 def make_calibrated_task(
-    n: int = 2000, n_classes: int = 5, logit_scale: float = 1.0, seed: int = 0
+    n: int = 2000, n_classes: int = 5, seed: int = 0
 ) -> tuple[LogitDataset, np.ndarray]:
     """Already-calibrated task: labels drawn from softmax of the very logits."""
     rng = np.random.default_rng(seed)
-    logits = rng.normal(0.0, logit_scale, size=(n, n_classes))
+    logits = rng.normal(0.0, CALIBRATED_LOGIT_SCALE, size=(n, n_classes))
     probs = softmax_rows(logits)
     labels = sample_labels(probs, rng)
     return LogitDataset(logits, labels, name="synthetic-calibrated"), probs

@@ -1,14 +1,10 @@
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
-
-# off-grid hyper warnings are expected all over the tests
-warnings.filterwarnings("ignore", message=".*outside the standard grid.*")
 
 
 @pytest.fixture

@@ -156,21 +156,20 @@ def naive_mmce(probs, labels, bandwidth=0.4):
     return math.sqrt(max(total / (n * n), 0.0))
 
 
-def naive_kde_ece(probs, labels, bandwidth=None, grid_points=1024):
-    """Gaussian Nadaraya-Watson accuracy at each point of an even grid over
-    [1/L, 1], |grid - accuracy| weighted by the kernel density of the
-    confidences, integrated with the trapezoid rule; the default bandwidth
-    is 1.06 * sample std * N^-1/5, at least 1e-3."""
+def naive_kde_ece(probs, labels):
+    """Gaussian Nadaraya-Watson accuracy at each point of an even 1024-point
+    grid over [1/L, 1], |grid - accuracy| weighted by the kernel density of the
+    confidences, integrated with the trapezoid rule; the bandwidth is
+    1.06 * sample std * N^-1/5, at least 1e-3."""
     pairs = top_label_pairs(probs, labels)
     n, n_classes = len(pairs), len(probs[0])
-    if bandwidth is None:
-        sigma = 0.0
-        if n > 1:
-            mean = sum(c for c, _ in pairs) / n
-            sigma = math.sqrt(sum((c - mean) ** 2 for c, _ in pairs) / (n - 1))
-        bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
+    sigma = 0.0
+    if n > 1:
+        mean = sum(c for c, _ in pairs) / n
+        sigma = math.sqrt(sum((c - mean) ** 2 for c, _ in pairs) / (n - 1))
+    bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
     lo = 1.0 / n_classes
-    grid = [lo + (1.0 - lo) * g / (grid_points - 1) for g in range(grid_points)]
+    grid = [lo + (1.0 - lo) * g / 1023 for g in range(1024)]
     values = []
     for x in grid:
         weights = [math.exp(-0.5 * ((x - c) / bandwidth) ** 2) for c, _ in pairs]
@@ -181,18 +180,17 @@ def naive_kde_ece(probs, labels, bandwidth=None, grid_points=1024):
         else:
             values.append(0.0)
     return sum((grid[g + 1] - grid[g]) * (values[g] + values[g + 1]) / 2
-               for g in range(grid_points - 1))
+               for g in range(1023))
 
 
-def naive_tcwece(probs, labels, threshold=None, bins=15, k=None):
-    """Per class, the entries above ``threshold`` (default 1/L) binned by
-    equal width (or by ``naive_kmeans_1d`` with min(k, retained) clusters),
-    count-weighted mean |event rate - mean probability|; the mean over the
-    classes that retain an entry."""
+def naive_tcwece(probs, labels, bins=15, k=None):
+    """Per class, the entries above 1/L binned by equal width (or by
+    ``naive_kmeans_1d`` with min(k, retained) clusters), count-weighted
+    mean |event rate - mean probability|; the mean over the classes that
+    retain an entry."""
     probs = np.asarray(probs)
     n, n_classes = probs.shape
-    if threshold is None:
-        threshold = 1.0 / n_classes
+    threshold = 1.0 / n_classes
     per_class = []
     for l in range(n_classes):
         kept = [i for i in range(n) if probs[i, l] > threshold]
@@ -346,7 +344,7 @@ def blocked_dkde_ce(probs, labels, bandwidth=1.0, block=32):
     return float((diff * diff).sum(axis=1).mean())
 
 
-def inplace_kde_ece(probs, labels, bandwidth=None, grid_points=1024):
+def inplace_kde_ece(probs, labels):
     """``kde_ece`` with its (grid, N) kernel built in place from unscaled
     differences and its two sums taken separately: the package's kernel
     before the pre-scaled grid and the one [correct, 1] matmul."""
@@ -354,10 +352,9 @@ def inplace_kde_ece(probs, labels, bandwidth=None, grid_points=1024):
     n, n_classes = probs.shape
     conf = probs.max(axis=1)
     correct = (probs.argmax(axis=1) == np.asarray(labels)).astype(np.float64)
-    if bandwidth is None:
-        sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
-        bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
-    grid = np.linspace(1.0 / n_classes, 1.0, grid_points)
+    sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
+    bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
+    grid = np.linspace(1.0 / n_classes, 1.0, 1024)
     kmat = np.subtract.outer(grid, conf)
     kmat /= bandwidth
     kmat *= kmat

@@ -108,6 +108,31 @@ class TestTrain:
         loaded = load_map(model)
         np.testing.assert_array_equal(loaded.params, np.zeros(2))
 
+    def test_verbose_logs_each_epoch_and_candidate_to_stderr(self, small_task, tmp_path, capsys):
+        # piecewise_linear alone is the on-grid z in (1, 10, 100, 500): no
+        # off-grid warning on stderr
+        train_path, _ = small_task
+        argv = ["train", str(train_path), str(tmp_path / "m.hcal"), "--family",
+                "piecewise_linear", "--selector-metric", "ece_ew", "--max-epochs", "5",
+                "--window", "50"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert main([*argv, "--verbose"]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        summary = re.findall(r"^  piecewise_linear (\d+): selector = (\S+), epochs = (\d+)$",
+                             loud.out, re.MULTILINE)
+        assert [z for z, _, _ in summary] == ["1", "10", "100", "500"]
+        expected = []
+        for z, value, epochs in summary:
+            expected += [rf"epoch {e} loss \S+ ece_ew \S+ lr \S+" for e in range(1, int(epochs) + 1)]
+            expected.append(rf"candidate piecewise_linear {z}: ece_ew = {re.escape(value)}")
+        lines = loud.err.splitlines()
+        assert len(lines) == len(expected)
+        for line, pattern in zip(lines, expected):
+            assert re.fullmatch(pattern, line), (line, pattern)
+
     def test_missing_input_fails_with_message(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal")])
         assert rc == 1
@@ -131,6 +156,23 @@ class TestEval:
         assert rc == 0
         out_uncal = capsys.readouterr().out
         assert out_model == out_uncal
+
+    @pytest.mark.parametrize("sidecar", ["latin-1", "directory"])
+    def test_sidecar_is_not_read(self, small_task, tmp_path, capsys, sidecar):
+        # the sidecar is for people; eval reads only the .hcal file
+        _, test_path = small_task
+        model = tmp_path / "m.hcal"
+        save_map(init_map("ensemble_temp", 16), model)
+        side = tmp_path / "m.hcal.meta.txt"
+        side.unlink()
+        if sidecar == "directory":
+            side.mkdir()
+        else:
+            side.write_bytes("note = caf\xe9\nseed = 3\n".encode("latin-1"))
+        assert main(["eval", str(model), str(test_path), "--metrics", "ece_ew"]) == 0
+        out_model = capsys.readouterr().out
+        assert main(["eval", "uncal", str(test_path), "--metrics", "ece_ew"]) == 0
+        assert capsys.readouterr().out == out_model
 
     def test_metric_selection_exact_rows(self, small_task, tmp_path, capsys):
         _, test_path = small_task

@@ -214,6 +214,23 @@ class TestSerialization:
             loaded.forward(logits).probs, cal_map.forward(logits).probs
         )
 
+    @pytest.mark.parametrize("sidecar", ["latin-1", "directory"])
+    def test_load_reads_only_the_map_file(self, tmp_path, sidecar):
+        # a loaded map keeps the constructor's seed, whatever the sidecar holds
+        cal_map = init_map("ensemble_temp", 2, seed=41)
+        cal_map.params[:] = [0.5, -0.25, 0.125, 1.0]
+        path = tmp_path / "m.hcal"
+        save_map(cal_map, path)
+        side = tmp_path / "m.hcal.meta.txt"
+        side.unlink()
+        if sidecar == "directory":
+            side.mkdir()
+        else:
+            side.write_bytes("note = caf\xe9\nseed = 41\n".encode("latin-1"))
+        loaded = load_map(path)
+        assert loaded.seed == 0
+        np.testing.assert_array_equal(loaded.params, cal_map.params)
+
     def test_sidecar_written(self, tmp_path):
         cal_map = init_map("ensemble_temp", 2, seed=41)
         save_map(cal_map, tmp_path / "m.hcal")

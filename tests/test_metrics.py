@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hcal import metrics as metrics_mod
-from hcal.dataset import softmax_rows
+from hcal.dataset import softmax_rows, stable_argsort
 from hcal.loss import kmeans_1d
 from hcal.maps import init_map
 from hcal.metrics import (
@@ -254,6 +254,22 @@ class TestSweepEce:
         if kind != "random":
             assert want == len(labels)  # the screen prunes nothing
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_one_ranking_per_call(self, r, monkeypatch):
+        # the bin-count search and the equal-mass binning share one sort
+        gen = np.random.default_rng(r)
+        probs, labels = gen.dirichlet(np.ones(10), size=3000), gen.integers(0, 10, 3000)
+        want = sweep_ece(probs, labels, r=r)
+        calls = []
+
+        def counted(values):
+            calls.append(values.size)
+            return stable_argsort(values)
+
+        monkeypatch.setattr(metrics_mod, "stable_argsort", counted)
+        assert sweep_ece(probs, labels, r=r) == want
+        assert calls == [3000]
+
 
 class TestKsError:
     def test_perfect_confident_predictions(self):
@@ -331,20 +347,20 @@ class TestKdeEce:
         correct = (gen.random(n) < conf).astype(float)
         probs = np.stack([conf, 1 - conf], axis=1)
         labels = np.where(correct > 0, 0, 1)
-        assert kde_ece(probs, labels, bandwidth=0.05) < 0.02
+        assert kde_ece(probs, labels) < 0.02
 
     def test_single_sample_reduces_to_gap(self):
-        # NW estimate is the single correctness value; with a narrow kernel
-        # the integral contracts to |conf - correct|
+        # NW estimate is the single correctness value; one sample has no
+        # spread, so the kernel takes the 1e-3 floor and the integral
+        # contracts to |conf - correct|
         probs = np.array([[0.7, 0.3]])
-        assert kde_ece(probs, np.array([0]), bandwidth=0.02) == pytest.approx(
-            0.3, abs=1e-4
-        )
+        assert kde_ece(probs, np.array([0])) == pytest.approx(0.3, abs=1e-4)
 
-    def test_grid_refinement_stable(self, rng):
+    def test_grid_refinement_stable(self, rng, monkeypatch):
         probs, labels = random_instance(rng, max_n=40, min_n=10)
-        v1 = kde_ece(probs, labels, grid_points=1024)
-        v2 = kde_ece(probs, labels, grid_points=2048)
+        v1 = kde_ece(probs, labels)
+        monkeypatch.setattr(metrics_mod, "KDE_GRID_POINTS", 2048)
+        v2 = kde_ece(probs, labels)
         assert abs(v1 - v2) < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -354,23 +370,6 @@ class TestKdeEce:
         assert kde_ece(probs, labels) == pytest.approx(
             oracles.naive_kde_ece(probs, labels), rel=1e-10, abs=1e-15
         )
-        assert kde_ece(probs, labels, bandwidth=0.05, grid_points=64) == pytest.approx(
-            oracles.naive_kde_ece(probs, labels, bandwidth=0.05, grid_points=64),
-            rel=1e-10, abs=1e-15,
-        )
-
-    def test_bad_bandwidth_rejected(self, rng):
-        probs, labels = random_instance(rng)
-        with pytest.raises(ValueError, match="bandwidth"):
-            kde_ece(probs, labels, bandwidth=0.0)
-
-    @pytest.mark.parametrize("setting", [{"bandwidth": float("nan")}, {"bandwidth": float("inf")},
-                                         {"grid_points": 0}, {"grid_points": 1}])
-    def test_nonsense_settings_rejected(self, rng, setting):
-        # each of these used to score any input 0.0, perfectly calibrated
-        probs, labels = random_instance(rng)
-        with pytest.raises(ValueError, match=next(iter(setting))):
-            kde_ece(probs, labels, **setting)
 
     def test_workspace_grid_blocks(self):
         # N=1e4: a (block, N) kernel array at a time, not a (1024, N) one
@@ -411,50 +410,45 @@ class TestCwece:
 
 
 class TestTcwece:
-    def test_threshold_zero_equals_cwece_a(self, rng):
-        probs, labels = random_instance(rng)
-        # softmax-style probabilities are strictly positive, so threshold 0
-        # retains every entry and the retained-count weighting reduces to 1/N
-        assert tcwece(probs, labels, threshold=0.0) == pytest.approx(
-            cwece(probs, labels, "a", bins=15), rel=1e-12
-        )
-
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive(self, seed):
         gen = np.random.default_rng(seed)
         probs, labels = random_instance(gen, max_n=40, max_l=6)
-        for threshold, bins in ((None, 15), (0.0, 7), (0.3, 15)):
-            if not (probs > (threshold if threshold is not None else 1 / probs.shape[1])).any():
-                continue
-            assert tcwece(probs, labels, threshold, bins) == pytest.approx(
-                oracles.naive_tcwece(probs, labels, threshold, bins), rel=1e-12, abs=1e-15
+        for bins in (15, 7):
+            assert tcwece(probs, labels, bins) == pytest.approx(
+                oracles.naive_tcwece(probs, labels, bins), rel=1e-12, abs=1e-15
             )
-            assert tcwece_k(probs, labels, 4, threshold) == pytest.approx(
-                oracles.naive_tcwece(probs, labels, threshold, k=4), rel=1e-12, abs=1e-15
-            )
+        assert tcwece_k(probs, labels, 4) == pytest.approx(
+            oracles.naive_tcwece(probs, labels, k=4), rel=1e-12, abs=1e-15
+        )
 
-    def test_high_threshold_rejected(self):
+    def test_uniform_rows_retain_nothing(self):
+        # no entry lies strictly above 1/L
         probs = np.full((5, 4), 0.25)
         with pytest.raises(ValueError, match="retained"):
-            tcwece(probs, np.zeros(5, dtype=int), threshold=0.999)
+            tcwece(probs, np.zeros(5, dtype=int))
 
     def test_kmeans_binning_matches_shared_lloyd(self, rng):
         probs, labels = random_instance(rng, max_n=40, min_n=10)
-        value = tcwece_k(probs, labels, k=4, threshold=0.0)
+        value = tcwece_k(probs, labels, k=4)
         # recompute with the same clustering primitive, literal aggregation
         n, n_classes = probs.shape
         per_class = []
         for l in range(n_classes):
-            p = probs[:, l]
-            e = (labels == l).astype(float)
-            _, assign = kmeans_1d(p, 4)
+            kept = probs[:, l] > 1.0 / n_classes
+            if not kept.any():
+                continue
+            p = probs[kept, l]
+            e = (labels[kept] == l).astype(float)
+            k = min(4, p.size)
+            _, assign = kmeans_1d(p, k)
             vals = []
-            for c in range(4):
+            for c in range(k):
                 members = assign == c
                 if members.sum() == 0:
                     continue
                 gap = abs(e[members].mean() - p[members].mean())
-                vals.append(members.sum() / n * gap)
+                vals.append(members.sum() / p.size * gap)
             per_class.append(sum(vals))
         assert value == pytest.approx(np.mean(per_class), rel=1e-12)
 
@@ -778,6 +772,11 @@ BAD_SETTINGS = {
     "tcwece_bins0": (lambda p, y: tcwece(p, y, bins=0), "bins must be >= 1, got 0"),
     "tcwece_k0": (lambda p, y: tcwece_k(p, y, k=0), "k must be >= 1, got 0"),
     "tcwece_k-1": (lambda p, y: tcwece_k(p, y, k=-1), "k must be >= 1, got -1"),
+    "ece_bins2.5": (lambda p, y: ece(p, y, bins=2.5), "bins must be an integer, got 2.5"),
+    "cwece_binsTrue": (lambda p, y: cwece(p, y, bins=True), "bins must be an integer, got True"),
+    "tcwece_k2.5": (lambda p, y: tcwece_k(p, y, k=2.5), "k must be an integer, got 2.5"),
+    "evaluate_bins2.5": (lambda p, y: evaluate(p, y, bins=2.5),
+                         "bins must be an integer, got 2.5"),
 }
 
 
@@ -797,6 +796,15 @@ class TestSettingsRejectedBeforeWork:
         call, message = BAD_SETTINGS[case]
         with pytest.raises(ValueError, match=re.escape(message)):
             call(probs, labels)
+
+    def test_numpy_integer_bins_pass(self):
+        gen = np.random.default_rng(0)
+        probs, labels = gen.dirichlet(np.ones(4), size=200), gen.integers(0, 4, 200)
+        assert ece(probs, labels, bins=np.int64(10)) == ece(probs, labels, bins=10)
+        assert cwece(probs, labels, bins=np.int32(14)) == cwece(probs, labels, bins=14)
+        assert tcwece_k(probs, labels, k=np.int64(4)) == tcwece_k(probs, labels, k=4)
+        assert (evaluate(probs, labels, ["ece_em", "tcwece"], bins=np.int64(7)).values
+                == evaluate(probs, labels, ["ece_em", "tcwece"], bins=7).values)
 
 
 class TestRegistryAndReport:
@@ -825,6 +833,20 @@ class TestRegistryAndReport:
         probs, labels = random_instance(rng)
         with pytest.raises(ValueError, match="unknown metric"):
             evaluate(probs, labels, ["not_a_metric"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected_before_any_metric(self, bad, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a metric ran on a non-finite matrix")
+
+        for mid in ("ece_ew", "skce"):
+            monkeypatch.setitem(metrics_mod.METRICS, mid, no_work)
+        probs = np.full((5, 3), 1 / 3)
+        probs[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            evaluate(probs, np.zeros(5, int), ["ece_ew", "skce"])
+        with pytest.raises(ValueError, match="non-finite entries"):
+            evaluate(np.full((5, 3), np.nan), np.zeros(5, int), ["ece_ew", "skce"])
 
     def test_label_out_of_range_rejected(self):
         # skce, cwece_a and dkde_ce would otherwise score a label 7 of 2 classes

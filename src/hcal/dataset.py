@@ -43,7 +43,6 @@ class LogitDataset:
 
     def __post_init__(self):
         logits = np.ascontiguousarray(np.asarray(self.logits, dtype=np.float64))
-        labels = np.asarray(self.labels)  # range-checked before the int64 cast
         if logits.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
         n, l = logits.shape
@@ -51,19 +50,11 @@ class LogitDataset:
             raise ValueError("dataset must contain at least one sample")
         if l < 2:
             raise ValueError(f"need at least 2 classes, got {l}")
-        if labels.shape != (n,):
-            raise ValueError(f"labels shape {labels.shape} does not match N={n}")
         if not np.all(np.isfinite(logits)):
             bad = int(np.argwhere(~np.isfinite(logits))[0][0])
             raise ValueError(f"non-finite logit at row {bad}")
-        if labels.dtype.kind == "f":
-            fractional = labels != np.floor(labels)  # NaN included
-            if fractional.any():
-                bad = int(np.argmax(fractional))
-                raise ValueError(f"label not a whole number at row {bad}: {labels[bad]}")
-        check_labels(labels, l)
         object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "labels", np.ascontiguousarray(labels, dtype=np.int64))
+        object.__setattr__(self, "labels", np.ascontiguousarray(check_labels(self.labels, (n, l))))
 
     @property
     def n_samples(self) -> int:
@@ -74,13 +65,22 @@ class LogitDataset:
         return self.logits.shape[1]
 
 
-def check_labels(labels: np.ndarray, n_classes: int) -> None:
-    """Raise unless every label lies in [0, n_classes): one min/max pass, the
-    offending row searched only on failure."""
+def check_labels(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The labels of an N x L matrix of ``shape`` as int64 (no copy for int64
+    input); raises unless there are N, each a whole number in [0, L)."""
     labels = np.asarray(labels)
+    n, n_classes = shape
+    if labels.shape != (n,):
+        raise ValueError(f"labels shape {labels.shape} does not match N={n}")
+    if labels.dtype.kind == "f":
+        fractional = labels != np.floor(labels)  # NaN included
+        if fractional.any():
+            bad = int(np.argmax(fractional))
+            raise ValueError(f"label not a whole number at row {bad}: {labels[bad]}")
     if not (labels.min() >= 0 and labels.max() < n_classes):
         bad = int(np.argmax(~((labels >= 0) & (labels < n_classes))))
         raise ValueError(f"label out of range at row {bad}: {labels[bad]} not in [0, {n_classes})")
+    return labels.astype(np.int64, copy=False)
 
 
 def check_prob_matrix(probs: np.ndarray) -> None:

@@ -203,7 +203,7 @@ def hcal_loss(probs: np.ndarray, labels: np.ndarray, cfg: HCalConfig) -> LossOut
     """Window-alignment loss with subgradients w.r.t. the probabilities; a
     window's gap is its mean event indicator minus its mean probability."""
     probs = np.asarray(probs, dtype=np.float64)
-    check_labels(labels, probs.shape[1])
+    labels = check_labels(labels, probs.shape)
     m = cfg.window
     perm, q, gaps = build_windows(probs, labels, m)
     if cfg.weighting == "uniform":
@@ -242,8 +242,7 @@ def nll_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
     """Mean negative log-likelihood; probabilities floored at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[0]
-    labels = np.asarray(labels)
-    check_labels(labels, probs.shape[1])
+    labels = check_labels(labels, probs.shape)
     p_label = np.maximum(probs[np.arange(n), labels], NLL_CLAMP)
     value = float(-np.log(p_label).mean())
     grad = np.zeros_like(probs)
@@ -255,7 +254,7 @@ def brier_loss(probs: np.ndarray, labels: np.ndarray) -> LossOutput:
     """Mean squared error against one-hot labels, averaged over N * L entries."""
     probs = np.asarray(probs, dtype=np.float64)
     n, l = probs.shape
-    check_labels(labels, l)
+    labels = check_labels(labels, probs.shape)
     resid = probs - one_hot(labels, l)
     value = float((resid * resid).sum() / (n * l))
     return LossOutput(value=value, prob_grad=2.0 * resid / (n * l))

@@ -7,11 +7,15 @@ Conventions shared across the suite:
 * binned metrics default to 15 bins (``cwece_s``: 14); equal-width bin m covers
   [m/bins, (m+1)/bins) with the last bin closed at 1;
 * equal-mass bins are contiguous runs of the stably-sorted confidences, so
-  bin sizes differ by at most one and ties keep their input order.
+  bin sizes differ by at most one and ties keep their input order;
+* every metric, :func:`reliability_data` and :func:`evaluate` first check
+  the input: a non-empty N x L matrix with no NaN or infinite entry, and N
+  labels, each a whole number in [0, L); a ``ValueError`` names the fault.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -41,16 +45,41 @@ _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])  # elementwise log-gamm
 
 def top_label(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(confidence, correctness) of the argmax prediction per sample."""
-    probs = np.asarray(probs, dtype=np.float64)
     pred = probs.argmax(axis=1)
-    return probs[np.arange(pred.size), pred], (pred == np.asarray(labels)).astype(np.float64)
+    return probs[np.arange(pred.size), pred], (pred == labels).astype(np.float64)
 
 
-def _ranked_top_label(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`top_label` in stable ascending confidence order."""
-    conf, correct = top_label(probs, labels)
-    order = stable_argsort(conf)
-    return conf[order], correct[order]
+class _Input:
+    """A metric input that passed the gate (see the module docstring).  The
+    arrays several metrics share are built on first use; none is written to."""
+
+    def __init__(self, probs, labels):
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or probs.size == 0:
+            raise ValueError(f"probability matrix must be 2-D and non-empty, got {probs.shape}")
+        if not np.isfinite(probs.sum()):  # one cheap pass; the full check names the fault
+            check_prob_matrix(probs)
+        self.probs, self.shape = probs, probs.shape
+        self.labels = check_labels(labels, probs.shape)
+
+    @functools.cached_property
+    def top(self) -> tuple[np.ndarray, np.ndarray]:
+        return top_label(self.probs, self.labels)
+
+    @functools.cached_property
+    def ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`top` in stable ascending confidence order."""
+        order = stable_argsort(self.top[0])
+        return self.top[0][order], self.top[1][order]
+
+    @functools.cached_property
+    def events(self) -> np.ndarray:
+        return one_hot(self.labels, self.shape[1])
+
+
+def _checked(probs, labels) -> _Input:
+    """The gate; an input that already passed it is used as it is."""
+    return probs if isinstance(probs, _Input) else _Input(probs, labels)
 
 
 def equal_width_bin_index(values: np.ndarray, bins: int) -> np.ndarray:
@@ -70,11 +99,6 @@ def equal_mass_bounds(n: int, bins: int) -> np.ndarray:
 def _bin_sums(values: np.ndarray, targets: np.ndarray, idx: np.ndarray, bins: int) -> tuple:
     """Per-bin (count, sum of values, sum of targets) for bin assignment ``idx``."""
     return tuple(np.bincount(idx, weights=w, minlength=bins) for w in (None, values, targets))
-
-
-def _require_nonempty(probs: np.ndarray) -> None:
-    if np.asarray(probs).shape[0] == 0:
-        raise ValueError("empty input")
 
 
 def _check_bins(bins: int, name: str = "bins") -> None:
@@ -118,9 +142,8 @@ class BinStats:
 def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> BinStats:
     """Equal-width top-label bin statistics plus the overall aggregates."""
     conf, correct, (counts, conf_sum, corr_sum) = _top_label_sums(probs, labels, "equal_width", bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
-        acc = np.where(counts > 0, corr_sum / np.maximum(counts, 1), np.nan)
+    mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
+    acc = np.where(counts > 0, corr_sum / np.maximum(counts, 1), np.nan)
     edges = np.arange(bins + 1) / bins
     return BinStats(
         lower=edges[:-1],
@@ -142,12 +165,12 @@ def _top_label_sums(probs: np.ndarray, labels: np.ndarray, binning: str, bins: i
     mass, and their per-bin (count, sum of confidences, sum of correctness)."""
     if binning not in ("equal_width", "equal_mass"):
         raise ValueError(f"unknown binning {binning!r}")
-    _require_nonempty(probs)
     _check_bins(bins)
+    x = _checked(probs, labels)
     if binning == "equal_mass":
-        conf, correct = _ranked_top_label(probs, labels)
+        conf, correct = x.ranked
         return conf, correct, _equal_mass_sums(conf, correct, bins)
-    conf, correct = top_label(probs, labels)
+    conf, correct = x.top
     return conf, correct, _bin_sums(conf, correct, equal_width_bin_index(conf, bins), bins)
 
 
@@ -197,15 +220,15 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
     gap, floors the weighted total at zero, and takes the square root.  Every
     bin must contain at least 2 samples.
     """
-    _require_nonempty(probs)
     _check_bins(bins)
-    n = len(probs)
+    x = _checked(probs, labels)
+    n = x.shape[0]
     if n // bins < 2:  # the smallest equal-mass bin holds n // bins samples
         raise ValueError(
             f"debiased ECE needs >= 2 samples per bin; a bin got {n // bins} "
             f"(N={n}, bins={bins})"
         )
-    counts, acc, conf = _nonempty_bins(*_top_label_sums(probs, labels, "equal_mass", bins)[2])
+    counts, acc, conf = _nonempty_bins(*_top_label_sums(x, labels, "equal_mass", bins)[2])
     gap = acc - conf
     total = (counts / n) @ (gap * gap - acc * (1.0 - acc) / (counts - 1))
     return float(np.sqrt(max(total, 0.0)))
@@ -248,8 +271,7 @@ def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
     their first bins and checking only survivors deeper
     (:func:`_monotone_bin_count`).  One ranking serves both steps."""
     _check_order(r)
-    _require_nonempty(probs)
-    conf, correct = _ranked_top_label(probs, labels)
+    conf, correct = _checked(probs, labels).ranked
     bins = _monotone_bin_count(np.concatenate([[0.0], np.cumsum(correct)]))
     return _binned_gap(_equal_mass_sums(conf, correct, bins), r)
 
@@ -257,8 +279,7 @@ def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
 def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
     """Max gap between cumulative correctness and confidence mass, over
     samples in (stable) ascending confidence order."""
-    _require_nonempty(probs)
-    conf, correct = _ranked_top_label(probs, labels)
+    conf, correct = _checked(probs, labels).ranked
     n = conf.size
     h = np.cumsum(correct) / n
     g = np.cumsum(conf) / n
@@ -276,8 +297,7 @@ def mmce(probs: np.ndarray, labels: np.ndarray) -> float:
     so the double sum is r @ r + 2 sum_i r_i f_i sum_{j<i} r_j / f_j: a
     running sum in O(N log N).
     """
-    _require_nonempty(probs)
-    c, correct = _ranked_top_label(probs, labels)
+    c, correct = _checked(probs, labels).ranked
     r = correct - c
     f = np.exp(-(c - c[0]) / MMCE_BANDWIDTH)
     below = np.concatenate([[0.0], np.cumsum(r / f)[:-1]])
@@ -296,9 +316,9 @@ def kde_ece(probs: np.ndarray, labels: np.ndarray) -> float:
     block of grid points builds its (block, N) kernel array in place in four
     passes, small enough to stay in cache for its two sums.
     """
-    _require_nonempty(probs)
-    conf, correct = top_label(probs, labels)
-    n, n_classes = np.asarray(probs).shape
+    x = _checked(probs, labels)
+    conf, correct = x.top
+    n, n_classes = x.shape
     sigma = float(np.std(conf, ddof=1)) if n > 1 else 0.0
     bandwidth = max(1.06 * sigma * n ** (-0.2), 1e-3)
     grid = np.linspace(1.0 / n_classes, 1.0, KDE_GRID_POINTS)
@@ -314,8 +334,7 @@ def kde_ece(probs: np.ndarray, labels: np.ndarray) -> float:
         np.exp(kmat, out=kmat)  # unnormalized Gaussian
         np.matmul(kmat, correct, out=numer[s:s + _KDE_BLOCK])
         kmat.sum(axis=1, out=denom[s:s + _KDE_BLOCK])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pi = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
+    pi = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
     density = denom / (n * bandwidth * np.sqrt(2.0 * np.pi))
     integrand = np.where(denom > 0, np.abs(grid - pi) * density, 0.0)
     return float(np.trapezoid(integrand, grid))
@@ -332,11 +351,10 @@ def _classwise(probs, labels, bins: int, r: int, thresholded: bool, kmeans: bool
     ``bins`` equal-width bins, or with ``kmeans`` the 1-D k-means clusters
     of the retained entries (at most one per entry)."""
     _check_bins(bins, "k" if kmeans else "bins")
-    _require_nonempty(probs)
-    probs = np.asarray(probs, dtype=np.float64)
-    threshold = 1.0 / probs.shape[1]
+    x = _checked(probs, labels)
+    threshold = 1.0 / x.shape[1]
     per_class = []
-    for p, e in zip(probs.T, one_hot(labels, probs.shape[1]).T):
+    for p, e in zip(x.probs.T, x.events.T):
         if thresholded:
             keep = p > threshold
             p, e = p[keep], e[keep]
@@ -413,11 +431,11 @@ def skce(probs: np.ndarray, labels: np.ndarray) -> float:
     block [s, s + B) meets only columns s..N-1, its min sums taken class by
     class in one (B, N - s) buffer.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    n, n_classes = probs.shape
+    x = _checked(probs, labels)
+    probs, (n, n_classes) = x.probs, x.shape
     if n < 2:
         raise ValueError("SKCE needs at least 2 samples")
-    resid = one_hot(labels, n_classes) - probs
+    resid = x.events - probs
     resid *= np.exp(probs.sum(axis=1, keepdims=True) / -SKCE_BANDWIDTH)
     by_class = probs.T.copy()  # contiguous columns for the class-wise minima
     by_class *= 2.0 / SKCE_BANDWIDTH
@@ -450,8 +468,8 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     block's log-kernels, and the estimate is normalized after its
     contraction with the labels, on a (B, L) array.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    n, n_classes = probs.shape
+    x = _checked(probs, labels)
+    probs, (n, n_classes) = x.probs, x.shape
     if n < 2:
         raise ValueError("DKDE-CE needs at least 2 samples")
     safe = np.maximum(probs, 1e-12)
@@ -462,7 +480,7 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     const_i = _lgamma(n_classes + alpha.sum(axis=1)) - _lgamma(1.0 + alpha).sum(axis=1)
     at_j = np.column_stack([np.log(safe), np.ones(n)])
     params_i = np.column_stack([alpha, const_i]).T  # [L + 1, i]
-    events = one_hot(labels, n_classes)
+    events = x.events
     pi = np.empty_like(probs)  # [j, L] leave-one-out estimate
     for s in range(0, n, _DKDE_BLOCK):
         e = min(s + _DKDE_BLOCK, n)
@@ -480,13 +498,12 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
-    _require_nonempty(probs)
-    pred = np.asarray(probs).argmax(axis=1)
-    return float((pred == np.asarray(labels)).mean())
+    return float(_checked(probs, labels).top[1].mean())
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
-    return loss_mod.nll_loss(probs, labels).value
+    x = _checked(probs, labels)
+    return loss_mod.nll_loss(x.probs, x.labels).value
 
 
 # ---------------------------------------------------------------------------
@@ -555,19 +572,15 @@ def evaluate(
     """Compute the requested metrics (default: the whole registry).
 
     ``bins`` (an integer >= 1) overrides the bin count of every binned metric
-    (see :data:`METRICS`; otherwise each uses its documented default).  A
-    matrix with a non-finite entry is rejected before any metric runs.
+    (see :data:`METRICS`; otherwise each uses its documented default).  Every
+    id, ``bins`` and the input are checked before any metric runs.
     """
-    ids = metric_ids if metric_ids is not None else list(METRICS)
+    fns = {mid: get_metric(mid) for mid in (metric_ids if metric_ids is not None else METRICS)}
     if bins is not None:
         _check_bins(bins)
-    probs = np.asarray(probs)
-    if not np.isfinite(probs.sum()):  # one cheap pass; the full check names the fault
-        check_prob_matrix(probs)
-    check_labels(labels, probs.shape[1])
+    x = _Input(probs, labels)
     values = {}
-    for mid in ids:
-        fn = get_metric(mid)
+    for mid, fn in fns.items():
         binned = bins is not None and "bins" in inspect.signature(fn).parameters
-        values[mid] = float(fn(probs, labels, bins=bins) if binned else fn(probs, labels))
+        values[mid] = float(fn(x, x.labels, bins=bins) if binned else fn(x, x.labels))
     return MetricReport(values=values)

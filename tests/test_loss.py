@@ -434,6 +434,22 @@ class TestPsrLosses:
         with pytest.raises(ValueError, match=rf"label out of range at row 1: {bad} not in \[0, 2\)"):
             loss_fn(np.full((2, 2), 0.5), np.array([0, bad]))
 
+    @pytest.mark.parametrize("loss_fn", [
+        lambda p, y: hcal_loss(p, y, HCalConfig(window=2, weighting="uniform")),
+        brier_loss,
+        nll_loss,
+    ], ids=["hcal_loss", "brier_loss", "nll_loss"])
+    def test_label_rule_shared_with_datasets(self, loss_fn):
+        # dataset.check_labels: N labels, each a whole number in [0, L)
+        probs = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"label not a whole number at row 2: 0.5"):
+            loss_fn(probs, np.array([0.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"labels shape \(2,\) does not match N=3"):
+            loss_fn(probs, np.array([0, 1]))
+        whole, ints = loss_fn(probs, np.array([0.0, 1.0, 1.0])), loss_fn(probs, np.array([0, 1, 1]))
+        assert whole.value == ints.value
+        assert np.array_equal(whole.prob_grad, ints.prob_grad)
+
     def test_nll_perfect_predictions(self):
         probs = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = nll_loss(probs, np.array([0, 1]))

@@ -807,6 +807,53 @@ class TestSettingsRejectedBeforeWork:
                 == evaluate(probs, labels, ["ece_em", "tcwece"], bins=7).values)
 
 
+@st.composite
+def suite_instances(draw):
+    """(probs, labels) with N of 1 to 60 (1 to 3 often), L up to 200, and
+    Dirichlet, near-one-hot or tied rows."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 60)))
+    l = draw(st.one_of(st.integers(2, 5), st.integers(6, 200)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dirichlet", "near_one_hot", "tied"]))
+    if kind == "near_one_hot":
+        probs = softmax_rows(30.0 * gen.normal(size=(n, l)))
+    else:
+        probs = gen.dirichlet(np.ones(l), size=n)
+    if kind == "tied":
+        probs = probs[gen.integers(0, min(n, 2), n)]  # repeated rows tie everywhere
+    return probs, gen.integers(0, l, n)
+
+
+# inputs every metric must reject, each with the message that names the fault
+_PROBS = np.random.default_rng(0).dirichlet(np.ones(3), size=40)
+_LABELS = np.arange(40) % 3
+_ONE_INF = _PROBS.copy()
+_ONE_INF[7, 1] = np.inf
+BAD_INPUTS = {
+    "all_nan": (np.full((40, 3), np.nan), _LABELS, "non-finite entries"),
+    "one_inf": (_ONE_INF, _LABELS, "non-finite entries"),
+    "39_labels": (_PROBS, _LABELS[:39], r"labels shape \(39,\) does not match N=40"),
+    "fractional_label": (_PROBS, np.where(np.arange(40) == 5, 1.5, _LABELS),
+                         "label not a whole number at row 5: 1.5"),
+    "no_rows": (np.empty((0, 3)), np.empty(0, int), r"2-D and non-empty, got \(0, 3\)"),
+}
+GATED = {**METRICS, "reliability_data": reliability_data}
+
+
+class TestInputGate:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("mid", sorted(GATED))
+    def test_direct_call_rejects_bad_input(self, mid, case):
+        probs, labels, message = BAD_INPUTS[case]
+        with pytest.raises(ValueError, match=message):
+            GATED[mid](probs, labels)
+
+    @pytest.mark.parametrize("mid", sorted(METRICS))
+    def test_whole_valued_float_labels_score_as_ints(self, mid):
+        assert (float(METRICS[mid](_PROBS, _LABELS.astype(np.float64))).hex()
+                == float(METRICS[mid](_PROBS, _LABELS)).hex())
+
+
 class TestRegistryAndReport:
     def test_all_metrics_finite_on_random_input(self, rng):
         gen = np.random.default_rng(0)
@@ -847,6 +894,43 @@ class TestRegistryAndReport:
             evaluate(probs, np.zeros(5, int), ["ece_ew", "skce"])
         with pytest.raises(ValueError, match="non-finite entries"):
             evaluate(np.full((5, 3), np.nan), np.zeros(5, int), ["ece_ew", "skce"])
+
+    def test_unknown_id_rejected_before_any_metric(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a metric ran before every id was resolved")
+
+        monkeypatch.setitem(metrics_mod.METRICS, "ece_ew", no_work)
+        probs, labels = random_instance(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+            evaluate(probs, labels, ["ece_ew", "bogus"])
+
+    def test_shared_arrays_built_once_per_evaluate(self, monkeypatch):
+        gen = np.random.default_rng(0)
+        probs, labels = gen.dirichlet(np.ones(4), size=200), gen.integers(0, 4, 200)
+        calls = {}
+        for name in ("top_label", "stable_argsort", "one_hot"):
+            def counted(*args, _fn=getattr(metrics_mod, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(metrics_mod, name, counted)
+        evaluate(probs, labels)
+        assert calls == {"top_label": 1, "stable_argsort": 1, "one_hot": 1}
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=suite_instances())
+    def test_evaluate_equals_direct_calls_in_any_order(self, instance):
+        # a metric that wrote into a shared array would change the ids after it
+        probs, labels = instance
+        direct = {}
+        for mid, fn in METRICS.items():
+            try:
+                direct[mid] = float(fn(probs.copy(), labels.copy())).hex()
+            except ValueError:  # too few samples for dece, skce or dkde_ce
+                pass
+        for ids in (list(direct), list(direct)[::-1]):
+            values = evaluate(probs, labels, ids).values
+            assert {mid: float(v).hex() for mid, v in values.items()} == direct
 
     def test_label_out_of_range_rejected(self):
         # skce, cwece_a and dkde_ce would otherwise score a label 7 of 2 classes

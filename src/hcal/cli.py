@@ -20,7 +20,7 @@ from .dataset import LogitDataset, load_dataset, softmax_rows, write_csv
 from .diagram import render_reliability_svg
 from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
 from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
-from .metrics import (DEFAULT_BINS, METRICS, MetricReport, evaluate, get_metric,
+from .metrics import (DEFAULT_BINS, METRICS, MetricReport, _check_bins, evaluate,
                       reliability_data)
 from .optim import TrainConfig, check_trainable, standard_grid, select_model, train_one
 
@@ -48,6 +48,10 @@ class RunConfig:
     bins: int | None = None  # None = each metric's documented default
     metrics: str | None = None  # comma-separated ids; None = full suite
     overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.bins is not None:
+            _check_bins(self.bins)  # the rule evaluate applies, before any data loads
 
     def loss_spec(self):
         """The loss: an :class:`HCalConfig` for ``hcal``, else its name.  A
@@ -92,14 +96,20 @@ class RunConfig:
 
     def metric_ids(self) -> list[str] | None:
         """The ``--metrics`` ids, each checked; None when not given."""
-        if self.metrics is None:
-            return None
-        ids = [m.strip() for m in self.metrics.split(",") if m.strip()]
-        if not ids:
-            raise ValueError(f"--metrics {self.metrics!r} names no metric id")
-        for mid in ids:
-            get_metric(mid)  # raises with the offending key
-        return ids
+        return None if self.metrics is None else _comma_list("metrics", self.metrics, METRICS)
+
+
+def _comma_list(option: str, text: str, choices) -> list[str]:
+    """The names in ``--option``'s comma-separated text: at least one, none
+    twice, each one of ``choices``."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names or len(set(names)) < len(names):
+        raise ValueError(f"--{option} {text!r} must list at least one name, and none twice")
+    for name in names:
+        if name not in choices:
+            raise ValueError(f"--{option}: unknown name {name!r}; available: "
+                             f"{', '.join(sorted(choices))}")
+    return names
 
 
 # accepted config-file keys and their value types, read off the annotations
@@ -109,6 +119,36 @@ CONFIG_KEYS = {
     for cls in (RunConfig, HCalConfig, TrainConfig)
     for name, hint in get_type_hints(cls).items()
     if name != "overrides"
+}
+
+# the keys each command reads, as flags and as config-file keys, in --help order
+_TRAIN_KEYS = ("seed", "loss", "epsilon", "window", "multiplier", "clusters", "norm",
+               "weighting", "lr", "max_epochs", "scheduler_patience", "scheduler_factor",
+               "early_stop_patience", "batch_size", "monitor_metric", "selector_metric",
+               "family", "m", "z", "groups", "units")
+COMMAND_KEYS = {
+    "train": _TRAIN_KEYS,
+    "eval": ("metrics", "bins"),
+    "diagram": ("bins",),
+    "compare": (*_TRAIN_KEYS, "metrics"),
+}
+_CHOICES = {"loss": LOSSES, "norm": NORMS, "weighting": WEIGHTINGS, "family": sorted(FAMILIES)}
+_HELP = {
+    "epsilon": "calibration error bound",
+    "window": "events per constraint window",
+    "multiplier": "loss scale factor",
+    "clusters": "k-means clusters for window weighting",
+    "scheduler_patience": "epochs without monitor improvement before the lr is scaled",
+    "scheduler_factor": "lr scale factor on a plateau",
+    "early_stop_patience": "epochs without monitor improvement before training stops",
+    "batch_size": "samples per Adam step (default: all N, one full batch; "
+                  "fewer: batches of a fresh seeded shuffle each epoch)",
+    "m": "ensemble_temp component count",
+    "z": "piecewise_linear segment count",
+    "groups": "monotonic_net group count",
+    "units": "monotonic_net units per group",
+    "metrics": "comma-separated metric ids (default: full suite)",
+    "bins": "bin count (default: each binned metric's own; 15 in a diagram)",
 }
 
 
@@ -132,97 +172,57 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
-def merge_config(args: argparse.Namespace, keys=CONFIG_KEYS) -> RunConfig:
-    """Config file, then flags.  A config-file key outside ``keys``, the
-    ones the command reads, is rejected."""
-    given = read_config_file(args.config) if getattr(args, "config", None) else {}
+def merge_config(args: argparse.Namespace) -> RunConfig:
+    """Config file, then flags.  A config-file key outside the command's
+    ``COMMAND_KEYS`` is rejected."""
+    keys = COMMAND_KEYS[args.command]
+    given = read_config_file(args.config) if args.config else {}
     unread = [key for key in given if key not in keys]
     if unread:
         raise ValueError(f"{args.config}: config key {unread[0]!r} does not apply to "
                          f"hcal {args.command}")
-    for key in CONFIG_KEYS:
-        if getattr(args, key, None) is not None:
+    for key in keys:
+        if getattr(args, key) is not None:
             given[key] = getattr(args, key)
     own = {f.name: given.pop(f.name) for f in fields(RunConfig) if f.name in given}
     return RunConfig(**own, overrides=given)
 
 
-def _flag(p: argparse.ArgumentParser, key: str, **kwargs) -> None:
-    """Add ``--key`` (dashes for underscores), typed like its config key."""
-    p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key], **kwargs)
-
-
-def _add_common(p: argparse.ArgumentParser, trains: bool) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    if trains:
-        _flag(p, "seed")
-    p.add_argument("--out", help="output path for CSV results")
-
-
-def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "loss", choices=LOSSES)
-    _flag(p, "epsilon", help="calibration error bound")
-    _flag(p, "window", help="events per constraint window")
-    _flag(p, "multiplier", help="loss scale factor")
-    _flag(p, "clusters", help="k-means clusters for window weighting")
-    _flag(p, "norm", choices=NORMS)
-    _flag(p, "weighting", choices=WEIGHTINGS)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    _flag(p, "lr")
-    _flag(p, "max_epochs")
-    _flag(p, "batch_size", help="samples per Adam step (default: all N, one full batch; "
-                                "fewer: batches of a fresh seeded shuffle each epoch)")
-    _flag(p, "monitor_metric")
-    _flag(p, "selector_metric")
-    _flag(p, "family", choices=sorted(FAMILIES))
-    _flag(p, "m", help="ensemble_temp component count")
-    _flag(p, "z", help="piecewise_linear segment count")
-    _flag(p, "groups", help="monotonic_net group count")
-    _flag(p, "units", help="monotonic_net units per group")
-    p.add_argument("--verbose", action="store_true", help="log one line per epoch")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command: its positionals, ``--config``, one flag per
+    ``COMMAND_KEYS`` key (dashes for underscores), then its own flags."""
     parser = argparse.ArgumentParser(
         prog="hcal", description="post-hoc classifier recalibration toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a calibrator and save the best model")
-    p_train.add_argument("train_path", help="training dataset (csv or binary)")
-    p_train.add_argument("model_path", help="output model file")
-    _add_common(p_train, trains=True)
-    _add_loss_flags(p_train)
-    _add_train_flags(p_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a model (or 'uncal') on a dataset")
-    p_eval.add_argument("model_path", help="model file, or 'uncal' for plain softmax")
-    p_eval.add_argument("test_path")
-    _add_common(p_eval, trains=False)
-    p_eval.add_argument("--metrics", help="comma-separated metric ids (default: full suite)")
-    _flag(p_eval, "bins", help="override the bin count of binned metrics")
-
-    p_diag = sub.add_parser("diagram", help="write an SVG reliability diagram")
-    p_diag.add_argument("model_path", help="model file, or 'uncal' for plain softmax")
-    p_diag.add_argument("test_path")
-    p_diag.add_argument("out_svg")
-    _add_common(p_diag, trains=False)
-    _flag(p_diag, "bins")
-
-    p_cmp = sub.add_parser("compare", help="train several calibrators and tabulate metrics")
-    p_cmp.add_argument("train_path")
-    p_cmp.add_argument("test_path")
-    _add_common(p_cmp, trains=True)
-    _add_loss_flags(p_cmp)
-    _add_train_flags(p_cmp)
-    p_cmp.add_argument("--metrics", help="comma-separated metric ids")
-    p_cmp.add_argument(
-        "--calibrators",
-        default=",".join(_COMPARE_CALIBRATORS),
-        help=f"comma-separated subset of {','.join(_COMPARE_CALIBRATORS)}",
-    )
+    model_in = ("model_path", "model file, or 'uncal' for plain softmax")
+    commands = {  # name: handler, summary, positionals
+        "train": (cmd_train, "train a calibrator and save the best model",
+                  [("train_path", "training dataset (csv or binary)"),
+                   ("model_path", "output model file")]),
+        "eval": (cmd_eval, "evaluate a model (or 'uncal') on a dataset",
+                 [model_in, ("test_path", None)]),
+        "diagram": (cmd_diagram, "write an SVG reliability diagram",
+                    [model_in, ("test_path", None), ("out_svg", None)]),
+        "compare": (cmd_compare, "train several calibrators and tabulate metrics",
+                    [("train_path", None), ("test_path", None)]),
+    }
+    for name, (handler, summary, positionals) in commands.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in COMMAND_KEYS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=CONFIG_KEYS[key],
+                           choices=_CHOICES.get(key), help=_HELP.get(key))
+        if name == "train":
+            p.add_argument("--verbose", action="store_true", help="log one line per epoch")
+        else:
+            p.add_argument("--out", help="output path for CSV results")
+        if name == "compare":
+            p.add_argument("--calibrators", default=",".join(_COMPARE_CALIBRATORS),
+                           help=f"comma-separated subset of {','.join(_COMPARE_CALIBRATORS)}")
     return parser
 
 
@@ -261,7 +261,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = merge_config(args, keys=vars(args))  # the keys of its own flags
+    cfg = merge_config(args)
     metric_ids = cfg.metric_ids()  # checked before any data loads
     test_ds, probs = _apply_model(args.model_path, args.test_path)
     report = evaluate(probs, test_ds.labels, metric_ids, bins=cfg.bins)
@@ -273,7 +273,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    cfg = merge_config(args, keys=vars(args))  # the keys of its own flags
+    cfg = merge_config(args)
     test_ds, probs = _apply_model(args.model_path, args.test_path)
     stats = reliability_data(probs, test_ds.labels,
                              bins=DEFAULT_BINS if cfg.bins is None else cfg.bins)
@@ -288,14 +288,7 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    names = [c.strip() for c in args.calibrators.split(",") if c.strip()]
-    if not names:
-        raise ValueError("need at least one calibrator")
-    for name in names:
-        if name not in _COMPARE_CALIBRATORS:
-            raise ValueError(
-                f"unknown calibrator {name!r} (choose from {', '.join(_COMPARE_CALIBRATORS)})"
-            )
+    names = _comma_list("calibrators", args.calibrators, _COMPARE_CALIBRATORS)
     # options are checked before any data loads
     grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
     metric_ids = cfg.metric_ids() or list(METRICS)
@@ -340,14 +333,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "diagram": cmd_diagram,
-        "compare": cmd_compare,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

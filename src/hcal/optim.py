@@ -50,6 +50,11 @@ class TrainConfig:
             raise ValueError("patiences must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None")
+        for option in ("monitor_metric", "selector_metric"):
+            try:
+                get_metric(getattr(self, option))
+            except ValueError as exc:
+                raise ValueError(f"{option}: {exc}") from None
 
     def batch_rows(self, n: int) -> int:
         """Samples per training batch on an n-sample training set."""

@@ -9,6 +9,7 @@ import pytest
 
 from hcal import cli, optim
 from hcal.cli import (
+    COMMAND_KEYS,
     CONFIG_KEYS,
     RunConfig,
     build_parser,
@@ -62,6 +63,18 @@ FAST_FLAGS = [
     "--max-epochs", "40",
     "--window", "50",
 ]
+
+# each command's positionals, with dataset paths that do not exist
+MISSING_INPUTS = {
+    "train": ["nope.csv", "m.hcal"],
+    "eval": ["uncal", "nope.csv"],
+    "diagram": ["uncal", "nope.csv", "d.svg"],
+    "compare": ["nope.csv", "nope2.csv"],
+}
+
+
+def missing_inputs(command, tmp_path):
+    return [arg if arg == "uncal" else str(tmp_path / arg) for arg in MISSING_INPUTS[command]]
 
 
 class TestTrain:
@@ -512,6 +525,25 @@ class TestOptionSources:
             with pytest.raises(ValueError, match="unknown config key"):
                 read_config_file(conf)
 
+    def test_readme_lists_the_keys_of_each_command(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Options per command", 1)[1].split("\n#", 1)[0]
+        listed = {cmd: re.findall(r"`(\w+)`", keys)
+                  for cmd, keys in re.findall(r"^- `hcal (\w+)`: (.*)$", section, re.M)}
+        assert listed == {cmd: list(keys) for cmd, keys in COMMAND_KEYS.items()}
+
+    @pytest.mark.parametrize("key,flag,value", [
+        ("scheduler_patience", "--scheduler-patience", "7"),
+        ("scheduler_factor", "--scheduler-factor", "0.25"),
+        ("early_stop_patience", "--early-stop-patience", "9"),
+    ])
+    def test_trainer_patience_flags_match_their_config_keys(self, key, flag, value, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n", encoding="utf-8")
+        from_flag = parsed(flag, value).train_config()
+        assert from_flag == parsed("--config", str(conf)).train_config()
+        assert from_flag != TrainConfig(selector_metric="dece")
+
     def test_config_value_types_follow_the_annotations(self, tmp_path):
         conf = tmp_path / "t.conf"
         conf.write_text("batch_size = 64\nepsilon = 1\nm = 4\nmonitor_metric = nll\n",
@@ -578,6 +610,17 @@ class TestBinsFlag:
         assert "bins must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "d.svg").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "diagram"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bins_rejected_before_loading(self, command, source, tmp_path, capsys):
+        conf = tmp_path / "b.conf"
+        conf.write_text("bins = 0\n", encoding="utf-8")
+        given = ["--bins", "0"] if source == "flag" else ["--config", str(conf)]
+        rc = main([command, *missing_inputs(command, tmp_path), *given])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bins must be >= 1, got 0" in err and "nope" not in err
+
     def test_diagram_defaults_to_default_bins(self, small_task, tmp_path):
         _, test_path = small_task
         out = tmp_path / "d.csv"
@@ -610,6 +653,32 @@ class TestMetricsFlag:
         assert rc == 1
         err = capsys.readouterr().err
         assert "bogus" in err and "nope.csv" not in err and "missing.csv" not in err
+
+
+class TestRepeatedNames:
+    @pytest.mark.parametrize("command,given", [
+        ("eval", ["--metrics", "ece_ew,ece_ew"]),
+        ("compare", ["--metrics", "ece_ew, ks,ece_ew"]),
+        ("compare", ["--calibrators", "uncal,nll_ts,nll_ts"]),
+    ])
+    def test_rejected_before_loading(self, command, given, tmp_path, capsys):
+        rc = main([command, *missing_inputs(command, tmp_path), *given])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{given[0]} {given[1]!r} must list at least one name, and none twice" in err
+        assert "nope" not in err
+
+
+class TestMetricIdOptions:
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("option", ["monitor_metric", "selector_metric"])
+    def test_unknown_id_rejected_before_loading(self, command, option, tmp_path, capsys):
+        flag = "--" + option.replace("_", "-")
+        rc = main([command, *missing_inputs(command, tmp_path), flag, "bogus",
+                   *(["--calibrators", "uncal,nll_ts"] if command == "compare" else [])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{option}: unknown metric 'bogus'" in err and "nope" not in err
 
 
 class TestLineEndings:
@@ -672,15 +741,17 @@ class TestStepSizeFlags:
 
 # option strings of each command, in --help order
 COMMAND_OPTIONS = {
-    "train": ["--help", "train_path", "model_path", "--config", "--seed", "--out", "--loss",
+    "train": ["--help", "train_path", "model_path", "--config", "--seed", "--loss",
               "--epsilon", "--window", "--multiplier", "--clusters", "--norm", "--weighting",
-              "--lr", "--max-epochs", "--batch-size", "--monitor-metric", "--selector-metric",
+              "--lr", "--max-epochs", "--scheduler-patience", "--scheduler-factor",
+              "--early-stop-patience", "--batch-size", "--monitor-metric", "--selector-metric",
               "--family", "--m", "--z", "--groups", "--units", "--verbose"],
-    "eval": ["--help", "model_path", "test_path", "--config", "--out", "--metrics", "--bins"],
-    "diagram": ["--help", "model_path", "test_path", "out_svg", "--config", "--out", "--bins"],
+    "eval": ["--help", "model_path", "test_path", "--config", "--metrics", "--bins", "--out"],
+    "diagram": ["--help", "model_path", "test_path", "out_svg", "--config", "--bins", "--out"],
 }
 COMMAND_OPTIONS["compare"] = [
-    "--help", "train_path", "test_path", *COMMAND_OPTIONS["train"][3:], "--metrics", "--calibrators"
+    "--help", "train_path", "test_path", *COMMAND_OPTIONS["train"][3:-1], "--metrics", "--out",
+    "--calibrators"
 ]
 
 
@@ -702,8 +773,29 @@ class TestSeedFlag:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [("train", ["--out", "hist.csv"]),
+                                              ("compare", ["--verbose"])])
+    def test_flag_nothing_reads_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *missing_inputs(command, tmp_path), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "hist.csv").exists()
+
 
 class TestConfigKeysPerCommand:
+    @pytest.mark.parametrize("command,key", [(command, key) for command in MISSING_INPUTS
+                                             for key in CONFIG_KEYS
+                                             if key not in COMMAND_KEYS[command]])
+    def test_every_unread_key_rejected_before_loading(self, command, key, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"{key} = 1\n", encoding="utf-8")
+        rc = main([command, *missing_inputs(command, tmp_path), "--config", str(conf)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"config key {key!r} does not apply to hcal {command}" in err
+        assert "nope" not in err
+
     @pytest.mark.parametrize("command", ["eval", "diagram"])
     @pytest.mark.parametrize("line", ["seed = 3", "window = 9", "lr = 0.1", "family = monotonic_net"])
     def test_unread_key_rejected_before_loading(self, command, line, tmp_path, capsys):

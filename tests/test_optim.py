@@ -70,6 +70,11 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(early_stop_patience=0)
 
+    @pytest.mark.parametrize("option", ["monitor_metric", "selector_metric"])
+    def test_unknown_metric_id_names_the_option(self, option):
+        with pytest.raises(ValueError, match=f"^{option}: unknown metric 'bogus'"):
+            TrainConfig(**{option: "bogus"})
+
 
 class TestTrainOne:
     def test_zero_epochs_returns_initial_map(self):

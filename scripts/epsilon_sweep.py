@@ -13,7 +13,7 @@ import time
 from hcal.dataset import softmax_rows
 from hcal.loss import HCalConfig
 from hcal.maps import init_map
-from hcal.metrics import ece
+from hcal.metrics import ece_ew
 from hcal.optim import TrainConfig, train_one
 from hcal.synthetic import make_overconfident_task
 
@@ -30,7 +30,7 @@ def main() -> None:
     task = make_overconfident_task(
         n_train=args.n_train, n_test=args.n_test, seed=42
     )
-    uncal = ece(softmax_rows(task.test.logits), task.test.labels)
+    uncal = ece_ew(softmax_rows(task.test.logits), task.test.labels)
     print(f"uncalibrated test ECEew: {uncal:.5f}")
     cfg = TrainConfig(seed=args.seed)
     for eps_text in args.epsilons.split(","):
@@ -42,7 +42,7 @@ def main() -> None:
             HCalConfig(epsilon=eps),
             cfg,
         )
-        value = ece(cal_map.forward(task.test.logits).probs, task.test.labels)
+        value = ece_ew(cal_map.forward(task.test.logits).probs, task.test.labels)
         print(
             f"epsilon {eps:8.0e}: test ECEew {value:.5f} "
             f"({len(history.records)} epochs, {time.time() - start:.0f}s)"

@@ -28,6 +28,8 @@ from .optim import TrainConfig, check_trainable, standard_grid, select_model, tr
 _LOSS_KEYS = {f.name for f in fields(HCalConfig)}
 _SIZE_KEYS = [name for cls in FAMILIES.values() for name in cls.hyper_names]
 _COMPARE_CALIBRATORS = ("uncal", "hcal", "nll_ts", "brier_ts")
+# the keys only the hcal calibrator reads (the baselines fix loss and family)
+_HCAL_KEYS = {"loss", "selector_metric", "family", *_LOSS_KEYS, *_SIZE_KEYS}
 
 
 @dataclass
@@ -153,8 +155,9 @@ _HELP = {
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Parse a flat ``key = value`` config file; '#' starts a comment."""
-    out: dict = {}
+    """Parse a flat ``key = value`` config file; '#' starts a comment.  A
+    key may appear once."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -164,6 +167,9 @@ def read_config_file(path: str | Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             out[key] = CONFIG_KEYS[key](value)
         except ValueError:
@@ -172,18 +178,21 @@ def read_config_file(path: str | Path) -> dict:
     return out
 
 
-def merge_config(args: argparse.Namespace) -> RunConfig:
+def merge_config(args: argparse.Namespace, skipped=()) -> RunConfig:
     """Config file, then flags.  A config-file key outside the command's
-    ``COMMAND_KEYS`` is rejected."""
+    ``COMMAND_KEYS`` is rejected, and so is a key in ``skipped`` given either
+    way: the hcal calibrator's own when ``compare`` leaves it out."""
     keys = COMMAND_KEYS[args.command]
     given = read_config_file(args.config) if args.config else {}
     unread = [key for key in given if key not in keys]
     if unread:
         raise ValueError(f"{args.config}: config key {unread[0]!r} does not apply to "
                          f"hcal {args.command}")
-    for key in keys:
-        if getattr(args, key) is not None:
-            given[key] = getattr(args, key)
+    given.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    unread = [key for key in given if key in skipped]
+    if unread:
+        raise ValueError(f"{unread[0]} (flag or config key) is read only by the hcal "
+                         f"calibrator, which --calibrators {args.calibrators} leaves out")
     own = {f.name: given.pop(f.name) for f in fields(RunConfig) if f.name in given}
     return RunConfig(**own, overrides=given)
 
@@ -287,15 +296,17 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = merge_config(args)
     names = _comma_list("calibrators", args.calibrators, _COMPARE_CALIBRATORS)
+    cfg = merge_config(args, () if "hcal" in names else _HCAL_KEYS)
     # options are checked before any data loads
     grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
     metric_ids = cfg.metric_ids() or list(METRICS)
     train_ds = load_dataset(args.train_path)
     test_ds = load_dataset(args.test_path)
-    if "hcal" in names:  # before the baselines use any compute
+    if "hcal" in names:  # before any calibrator uses compute
         check_trainable(train_ds, loss_spec, train_cfg)
+    elif any(name.endswith("_ts") for name in names):  # scaling reads no window or selector
+        check_trainable(train_ds, "nll", train_cfg, selects=False)
 
     reports: dict[str, MetricReport] = {}
     uncal_report = evaluate(softmax_rows(test_ds.logits), test_ds.labels, metric_ids)

@@ -4,7 +4,8 @@ Conventions shared across the suite:
 
 * top-label confidence is the row max; the predicted class is the argmax
   with lowest-index tie-break (same convention as the mapping families);
-* binned metrics default to 15 bins (``cwece_s``: 14); equal-width bin m covers
+* each id in :data:`METRICS` is the function of that name; a binned one
+  takes its bin count as ``bins``; equal-width bin m covers
   [m/bins, (m+1)/bins) with the last bin closed at 1;
 * equal-mass bins are contiguous runs of the stably-sorted confidences, so
   bin sizes differ by at most one and ties keep their input order;
@@ -101,16 +102,11 @@ def _bin_sums(values: np.ndarray, targets: np.ndarray, idx: np.ndarray, bins: in
     return tuple(np.bincount(idx, weights=w, minlength=bins) for w in (None, values, targets))
 
 
-def _check_bins(bins: int, name: str = "bins") -> None:
+def _check_bins(bins: int) -> None:
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {bins!r}")
+        raise ValueError(f"bins must be an integer, got {bins!r}")
     if bins < 1:
-        raise ValueError(f"{name} must be >= 1, got {bins}")
-
-
-def _check_order(r: int) -> None:
-    if r not in (1, 2):
-        raise ValueError(f"order r must be 1 or 2, got {r}")
+        raise ValueError(f"bins must be >= 1, got {bins}")
 
 
 @dataclass
@@ -141,7 +137,7 @@ class BinStats:
 
 def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> BinStats:
     """Equal-width top-label bin statistics plus the overall aggregates."""
-    conf, correct, (counts, conf_sum, corr_sum) = _top_label_sums(probs, labels, "equal_width", bins)
+    conf, correct, (counts, conf_sum, corr_sum) = _top_label_sums(probs, labels, False, bins)
     mean_conf = np.where(counts > 0, conf_sum / np.maximum(counts, 1), np.nan)
     acc = np.where(counts > 0, corr_sum / np.maximum(counts, 1), np.nan)
     edges = np.arange(bins + 1) / bins
@@ -160,14 +156,12 @@ def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_
 # top-label metrics
 
 
-def _top_label_sums(probs: np.ndarray, labels: np.ndarray, binning: str, bins: int) -> tuple:
+def _top_label_sums(probs: np.ndarray, labels: np.ndarray, equal_mass: bool, bins: int) -> tuple:
     """Top-label (confidence, correctness), sorted by confidence for equal
     mass, and their per-bin (count, sum of confidences, sum of correctness)."""
-    if binning not in ("equal_width", "equal_mass"):
-        raise ValueError(f"unknown binning {binning!r}")
     _check_bins(bins)
     x = _checked(probs, labels)
-    if binning == "equal_mass":
+    if equal_mass:
         conf, correct = x.ranked
         return conf, correct, _equal_mass_sums(conf, correct, bins)
     conf, correct = x.top
@@ -197,20 +191,21 @@ def _binned_gap(sums: tuple, r: int) -> float:
     return float(w @ gap) if r == 1 else float(np.sqrt(w @ (gap * gap)))
 
 
-def ece(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    binning: str = "equal_width",
-    bins: int = DEFAULT_BINS,
-    r: int = 1,
-) -> float:
-    """Binned expected calibration error of the top-label prediction.
+def ece_ew(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+    """Expected calibration error of the top-label prediction: the
+    count-weighted mean |accuracy - confidence| over equal-width bins."""
+    return _binned_gap(_top_label_sums(probs, labels, False, bins)[2], 1)
 
-    r=1 is the count-weighted mean absolute accuracy/confidence gap; r=2 is
-    the square root of the count-weighted mean squared gap.
-    """
-    _check_order(r)
-    return _binned_gap(_top_label_sums(probs, labels, binning, bins)[2], r)
+
+def ece_em(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+    """:func:`ece_ew` over equal-mass bins."""
+    return _binned_gap(_top_label_sums(probs, labels, True, bins)[2], 1)
+
+
+def ece_r2(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+    """Order-2 :func:`ece_ew`: the square root of the count-weighted mean
+    squared gap."""
+    return _binned_gap(_top_label_sums(probs, labels, False, bins)[2], 2)
 
 
 def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
@@ -228,7 +223,7 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
             f"debiased ECE needs >= 2 samples per bin; a bin got {n // bins} "
             f"(N={n}, bins={bins})"
         )
-    counts, acc, conf = _nonempty_bins(*_top_label_sums(x, labels, "equal_mass", bins)[2])
+    counts, acc, conf = _nonempty_bins(*_top_label_sums(x, labels, True, bins)[2])
     gap = acc - conf
     total = (counts / n) @ (gap * gap - acc * (1.0 - acc) / (counts - 1))
     return float(np.sqrt(max(total, 0.0)))
@@ -236,7 +231,7 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
 
 def ace(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
     """Unweighted mean absolute gap over the nonempty equal-width bins."""
-    _, acc, conf = _nonempty_bins(*_top_label_sums(probs, labels, "equal_width", bins)[2])
+    _, acc, conf = _nonempty_bins(*_top_label_sums(probs, labels, False, bins)[2])
     return float(np.abs(acc - conf).mean())
 
 
@@ -265,18 +260,28 @@ def _monotone_bin_count(csum_k: np.ndarray) -> int:
             width *= _SWEEP_SCREEN
 
 
-def sweep_ece(probs: np.ndarray, labels: np.ndarray, r: int = 1) -> float:
-    """Equal-mass ECE at the largest bin count whose bin accuracies are
-    non-decreasing in confidence order, found by screening the counts on
-    their first bins and checking only survivors deeper
-    (:func:`_monotone_bin_count`).  One ranking serves both steps."""
-    _check_order(r)
+def _sweep_gap(probs: np.ndarray, labels: np.ndarray, r: int) -> float:
+    """:func:`_binned_gap` of order r over the monotone sweep's equal-mass
+    bins.  One ranking serves the bin-count search and the binning."""
     conf, correct = _checked(probs, labels).ranked
     bins = _monotone_bin_count(np.concatenate([[0.0], np.cumsum(correct)]))
     return _binned_gap(_equal_mass_sums(conf, correct, bins), r)
 
 
-def ks_error(probs: np.ndarray, labels: np.ndarray) -> float:
+def sweep_ece(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Equal-mass ECE at the largest bin count whose bin accuracies are
+    non-decreasing in confidence order, found by screening the counts on
+    their first bins and checking only survivors deeper
+    (:func:`_monotone_bin_count`)."""
+    return _sweep_gap(probs, labels, 1)
+
+
+def sweep_ece_r2(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Order-2 :func:`sweep_ece`."""
+    return _sweep_gap(probs, labels, 2)
+
+
+def ks(probs: np.ndarray, labels: np.ndarray) -> float:
     """Max gap between cumulative correctness and confidence mass, over
     samples in (stable) ascending confidence order."""
     conf, correct = _checked(probs, labels).ranked
@@ -350,7 +355,7 @@ def _classwise(probs, labels, bins: int, r: int, thresholded: bool, kmeans: bool
     retained, or with ``thresholded`` only those above 1/L.  Bins are
     ``bins`` equal-width bins, or with ``kmeans`` the 1-D k-means clusters
     of the retained entries (at most one per entry)."""
-    _check_bins(bins, "k" if kmeans else "bins")
+    _check_bins(bins)
     x = _checked(probs, labels)
     threshold = 1.0 / x.shape[1]
     per_class = []
@@ -371,28 +376,22 @@ def _classwise(probs, labels, bins: int, r: int, thresholded: bool, kmeans: bool
     return per_class
 
 
-def cwece(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    variant: str = "a",
-    bins: int | None = None,
-) -> float:
-    """Classwise binned calibration error.
+def cwece_a(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+    """Classwise binned calibration error, averaged over classes (1/L)."""
+    per_class = _classwise(probs, labels, bins, 1, thresholded=False, kmeans=False)
+    return sum(per_class) / len(per_class)
 
-    variant "a": class-averaged (1/L factor), 15 bins.  variant "s": summed
-    over classes (no 1/L), 14 bins by default to keep it distinct from "a".
-    variant "r2": order-2 with square root, class-averaged, 15 bins.
-    """
-    if variant not in ("a", "s", "r2"):
-        raise ValueError(f"unknown cwece variant {variant!r}")
-    if bins is None:
-        bins = CWECE_S_BINS if variant == "s" else DEFAULT_BINS
-    per_class = _classwise(probs, labels, bins, 2 if variant == "r2" else 1,
-                           thresholded=False, kmeans=False)
-    if variant == "s":
-        return sum(per_class)
-    mean = sum(per_class) / len(per_class)
-    return float(np.sqrt(mean)) if variant == "r2" else mean
+
+def cwece_s(probs: np.ndarray, labels: np.ndarray, bins: int = CWECE_S_BINS) -> float:
+    """:func:`cwece_a` summed over classes (no 1/L)."""
+    return sum(_classwise(probs, labels, bins, 1, thresholded=False, kmeans=False))
+
+
+def cwece_r2(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+    """Order-2 :func:`cwece_a`: the square root of the class mean of the
+    squared gaps."""
+    per_class = _classwise(probs, labels, bins, 2, thresholded=False, kmeans=False)
+    return float(np.sqrt(sum(per_class) / len(per_class)))
 
 
 def tcwece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
@@ -405,10 +404,10 @@ def tcwece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> f
     return float(np.mean(_classwise(probs, labels, bins, 1, thresholded=True, kmeans=False)))
 
 
-def tcwece_k(probs: np.ndarray, labels: np.ndarray, k: int = DEFAULT_BINS) -> float:
-    """Thresholded classwise error with 1-D k-means bin assignments instead
-    of fixed equal-width edges."""
-    return float(np.mean(_classwise(probs, labels, k, 1, thresholded=True, kmeans=True)))
+def tcwece_k(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> float:
+    """:func:`tcwece` with ``bins`` 1-D k-means clusters per class instead of
+    fixed equal-width edges."""
+    return float(np.mean(_classwise(probs, labels, bins, 1, thresholded=True, kmeans=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,31 +508,13 @@ def nll(probs: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # registry and reports
 
-METRICS = {
-    "ece_ew": lambda p, y, bins=DEFAULT_BINS: ece(p, y, "equal_width", bins, r=1),
-    "ece_em": lambda p, y, bins=DEFAULT_BINS: ece(p, y, "equal_mass", bins, r=1),
-    "ece_r2": lambda p, y, bins=DEFAULT_BINS: ece(p, y, "equal_width", bins, r=2),
-    "dece": dece,
-    "ace": ace,
-    "sweep_ece": lambda p, y: sweep_ece(p, y, r=1),
-    "sweep_ece_r2": lambda p, y: sweep_ece(p, y, r=2),
-    "ks": ks_error,
-    "mmce": mmce,
-    "kde_ece": kde_ece,
-    "cwece_a": lambda p, y, bins=DEFAULT_BINS: cwece(p, y, "a", bins),
-    "cwece_s": lambda p, y, bins=CWECE_S_BINS: cwece(p, y, "s", bins),
-    "cwece_r2": lambda p, y, bins=DEFAULT_BINS: cwece(p, y, "r2", bins),
-    "tcwece": tcwece,
-    "tcwece_k": lambda p, y, bins=DEFAULT_BINS: tcwece_k(p, y, k=bins),
-    "dkde_ce": dkde_ce,
-    "skce": skce,
-    "nll": nll,
-    "accuracy": accuracy,
-}
-"""Metric id -> ``(probs, labels)`` callable.  A metric is binned exactly
-when its callable takes a ``bins`` keyword, whose default is the metric's
-documented bin count; :func:`evaluate` passes its ``bins`` override only
-to those."""
+METRICS = {fn.__name__: fn for fn in (
+    ece_ew, ece_em, ece_r2, dece, ace, sweep_ece, sweep_ece_r2, ks, mmce, kde_ece,
+    cwece_a, cwece_s, cwece_r2, tcwece, tcwece_k, dkde_ce, skce, nll, accuracy,
+)}
+"""Metric id -> the ``(probs, labels)`` function of that name.  A metric is
+binned exactly when it takes a ``bins`` keyword, whose default is its own
+bin count; :func:`evaluate` passes its ``bins`` override only to those."""
 
 
 def get_metric(metric_id: str):

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("patiences must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 or None")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for option in ("monitor_metric", "selector_metric"):
             try:
                 get_metric(getattr(self, option))
@@ -251,8 +253,11 @@ def select_model(
     return best[1], best[2], reports
 
 
-def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
-    """Reject what would otherwise fail only after a candidate has trained."""
+def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig, selects: bool = True) -> None:
+    """Reject what would otherwise fail only after a candidate has trained:
+    a window wider than the smallest batch's events, or a monitor metric
+    (with ``selects``, also a selector metric) that cannot score the
+    training set."""
     n, n_classes = train.n_samples, train.n_classes
     window = getattr(loss_cfg, "window", 0)
     batch = cfg.batch_rows(n)
@@ -264,7 +269,7 @@ def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
         raise ValueError(f"window {window} exceeds the {rows * n_classes} atomic events of "
                          f"a {rows}-sample batch ({n_classes} classes); use {fix}")
     probe = softmax_rows(train.logits)
-    for option in ("monitor_metric", "selector_metric"):
+    for option in ("monitor_metric", "selector_metric")[:1 + selects]:
         metric = get_metric(getattr(cfg, option))
         try:
             metric(probe, train.labels)

@@ -24,7 +24,7 @@ from hcal.loss import (
     nll_loss,
 )
 from hcal.maps import EnsembleTempMap, init_map
-from hcal.metrics import ece, sweep_ece, tcwece
+from hcal.metrics import ece_ew, sweep_ece, tcwece
 from hcal.optim import TrainConfig, train_one
 from hcal.synthetic import make_overconfident_task
 
@@ -189,16 +189,16 @@ def test_criterion_3_accuracy_preservation():
 
 def test_criterion_4_metric_oracles():
     start = time.perf_counter()
-    from hcal.metrics import ace, cwece, ks_error, mmce, skce
+    from hcal.metrics import ace, cwece_a, cwece_s, ece_em, ks, mmce, skce
 
     pairs_exact = [
-        ("ece_ew", lambda p, y: ece(p, y, "equal_width"), oracles.naive_ece_ew),
-        ("ece_em", lambda p, y: ece(p, y, "equal_mass"), oracles.naive_ece_em),
+        ("ece_ew", ece_ew, oracles.naive_ece_ew),
+        ("ece_em", ece_em, oracles.naive_ece_em),
         ("ace", ace, oracles.naive_ace),
-        ("cwece_a", lambda p, y: cwece(p, y, "a"), lambda p, y: oracles.naive_cwece(p, y, "a")),
-        ("cwece_s", lambda p, y: cwece(p, y, "s"), lambda p, y: oracles.naive_cwece(p, y, "s")),
+        ("cwece_a", cwece_a, lambda p, y: oracles.naive_cwece(p, y, "a")),
+        ("cwece_s", cwece_s, lambda p, y: oracles.naive_cwece(p, y, "s")),
         ("sweep_ece", sweep_ece, oracles.naive_sweep_ece),
-        ("ks", ks_error, oracles.naive_ks),
+        ("ks", ks, oracles.naive_ks),
     ]
     pairs_kernel = [
         ("mmce", mmce, oracles.naive_mmce),
@@ -269,8 +269,8 @@ def test_criterion_5_synthetic_recalibration(synthetic_task, trained_by_epsilon)
     assert abs(scaling - task.temperature) / task.temperature <= 0.05
 
     # (b) window-loss training at defaults halves the test calibration error
-    uncal = ece(softmax_rows(task.test.logits), task.test.labels)
-    calibrated = ece(models[1e-20].forward(task.test.logits).probs, task.test.labels)
+    uncal = ece_ew(softmax_rows(task.test.logits), task.test.labels)
+    calibrated = ece_ew(models[1e-20].forward(task.test.logits).probs, task.test.labels)
     assert calibrated <= 0.5 * uncal
     elapsed = time.perf_counter() - start + wall[1e-20]
     assert elapsed < 300.0
@@ -322,7 +322,7 @@ def test_criterion_7_epsilon_robustness(synthetic_task, trained_by_epsilon):
     task = synthetic_task
     models, wall = trained_by_epsilon
     final = {
-        eps: ece(models[eps].forward(task.test.logits).probs, task.test.labels)
+        eps: ece_ew(models[eps].forward(task.test.logits).probs, task.test.labels)
         for eps in EPSILONS
     }
     small = [final[eps] for eps in (1e-20, 1e-10, 1e-5, 1e-2)]

@@ -23,7 +23,7 @@ from hcal.optim import TrainConfig, standard_grid
 from hcal.dataset import LogitDataset, save_dataset, softmax_rows
 from hcal.diagram import render_reliability_svg
 from hcal.maps import init_map, load_map, save_map
-from hcal.metrics import ece, reliability_data
+from hcal.metrics import ece_ew, reliability_data
 from hcal.synthetic import make_calibrated_task, make_overconfident_task
 
 
@@ -146,6 +146,12 @@ class TestTrain:
         for line, pattern in zip(lines, expected):
             assert re.fullmatch(pattern, line), (line, pattern)
 
+    def test_negative_seed_rejected_before_loading(self, tmp_path, capsys):
+        rc = main(["train", *missing_inputs("train", tmp_path), "--seed", "-1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "nope" not in err
+
     def test_missing_input_fails_with_message(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal")])
         assert rc == 1
@@ -205,7 +211,7 @@ class TestEval:
         task = make_overconfident_task(
             n_train=400, n_test=300, n_classes=4, temperature=0.5, seed=0
         )
-        expected = ece(softmax_rows(task.test.logits), task.test.labels)
+        expected = ece_ew(softmax_rows(task.test.logits), task.test.labels)
         assert values["ece_ew"] == pytest.approx(expected, rel=1e-12)
 
     def test_class_count_mismatch_detected(self, small_task, tmp_path, capsys):
@@ -394,6 +400,67 @@ class TestCompare:
         assert calls == []
 
 
+# a valid value of each key only the hcal calibrator reads
+HCAL_ONLY = {"loss": "brier", "epsilon": "0.5", "window": "50", "multiplier": "10",
+             "clusters": "4", "norm": "squared", "weighting": "uniform",
+             "selector_metric": "ece_ew", "family": "monotonic_net", "m": "2", "z": "3",
+             "groups": "3", "units": "2"}
+
+
+class TestCompareWithoutHcal:
+    def test_hcal_keys_are_the_declared_set(self):
+        assert cli._HCAL_KEYS == set(HCAL_ONLY)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(HCAL_ONLY))
+    def test_hcal_key_rejected_before_loading(self, key, source, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"{key} = {HCAL_ONLY[key]}\n", encoding="utf-8")
+        given = (["--config", str(conf)] if source == "config"
+                 else ["--" + key.replace("_", "-"), HCAL_ONLY[key]])
+        rc = main(["compare", *missing_inputs("compare", tmp_path),
+                   "--calibrators", "uncal,nll_ts", *given])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (f"{key} (flag or config key) is read only by the hcal calibrator, "
+                f"which --calibrators uncal,nll_ts leaves out") in err
+        assert "nope" not in err
+
+    def test_scaling_keys_still_read(self, small_task, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", *map(str, small_task), "--calibrators", "uncal,nll_ts",
+                     "--seed", "1", "--lr", "0.01", "--max-epochs", "5", "--batch-size", "100",
+                     "--monitor-metric", "ece_em", "--metrics", "ece_ew", "--out", str(out)]) == 0
+        assert [row[:2] for row in compare_rows(out)] == [("uncal", "ece_ew"),
+                                                            ("nll_ts", "ece_ew")]
+
+    @pytest.fixture(scope="class")
+    def tiny_task(self, tmp_path_factory):
+        """20 training samples: too few for dece's 15 bins of 2."""
+        root = tmp_path_factory.mktemp("tiny")
+        task = make_overconfident_task(n_train=20, n_test=60, n_classes=4, temperature=0.5,
+                                       seed=0)
+        save_dataset(task.train, root / "train.csv")
+        save_dataset(task.test, root / "test.csv")
+        return str(root / "train.csv"), str(root / "test.csv")
+
+    def test_monitor_checked_before_anything_runs(self, tiny_task, monkeypatch, capsys):
+        calls = []
+        for name in ("evaluate", "train_one"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        rc = main(["compare", *tiny_task, "--calibrators", "uncal,nll_ts",
+                   "--monitor-metric", "dece"])
+        assert rc == 1
+        assert "monitor_metric 'dece' cannot score 20 training samples" in capsys.readouterr().err
+        assert calls == []
+
+    def test_selector_not_checked_without_hcal(self, tiny_task, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", *tiny_task, "--calibrators", "uncal,nll_ts",
+                     "--max-epochs", "3", "--metrics", "ece_ew", "--out", str(out)]) == 0
+        assert len(compare_rows(out)) == 2
+
+
 class TestConfigFile:
     def test_precedence_defaults_file_flags(self, small_task, tmp_path):
         train_path, _ = small_task
@@ -444,6 +511,13 @@ class TestConfigFile:
         with pytest.raises(ValueError) as exc:
             read_config_file(conf)
         assert str(exc.value) == expected
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        conf = tmp_path / "twice.conf"
+        conf.write_text("window = 50\n# later\nwindow = 60\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_config_file(conf)
+        assert str(exc.value) == f"{conf}:3: config key 'window' repeats line 1"
 
 
 class TestChoiceSets:
@@ -674,8 +748,9 @@ class TestMetricIdOptions:
     @pytest.mark.parametrize("option", ["monitor_metric", "selector_metric"])
     def test_unknown_id_rejected_before_loading(self, command, option, tmp_path, capsys):
         flag = "--" + option.replace("_", "-")
+        ts_reads = command == "compare" and option == "monitor_metric"
         rc = main([command, *missing_inputs(command, tmp_path), flag, "bogus",
-                   *(["--calibrators", "uncal,nll_ts"] if command == "compare" else [])])
+                   *(["--calibrators", "uncal,nll_ts"] if ts_reads else [])])
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{option}: unknown metric 'bogus'" in err and "nope" not in err
@@ -827,5 +902,5 @@ class TestConfigKeysPerCommand:
                                        seed=0)
         probs = softmax_rows(task.test.logits)
         assert list(values) == ["ece_ew"]
-        assert values["ece_ew"] == pytest.approx(ece(probs, task.test.labels, bins=7),
-                                                        rel=1e-12)
+        assert values["ece_ew"] == pytest.approx(ece_ew(probs, task.test.labels, bins=7),
+                                                   rel=1e-12)

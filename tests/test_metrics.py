@@ -18,18 +18,23 @@ from hcal.metrics import (
     METRICS,
     accuracy,
     ace,
-    cwece,
+    cwece_a,
+    cwece_r2,
+    cwece_s,
     dece,
     dkde_ce,
-    ece,
+    ece_em,
+    ece_ew,
+    ece_r2,
     evaluate,
     kde_ece,
-    ks_error,
+    ks,
     mmce,
     nll,
     reliability_data,
     skce,
     sweep_ece,
+    sweep_ece_r2,
     tcwece,
     tcwece_k,
 )
@@ -75,6 +80,9 @@ def block_edge_instance(n, n_classes=4):
     return probs, gen.integers(0, n_classes, size=n)
 
 
+CWECE = {"a": cwece_a, "s": cwece_s, "r2": cwece_r2}  # the oracle's variant -> metric
+SWEEP = {1: sweep_ece, 2: sweep_ece_r2}  # order -> metric
+
 BLOCK = 4  # small block for the edge tests; N below covers 2, 3, B-1, B, B+1, 2B+3
 BLOCK_EDGE_N = sorted({2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3})
 
@@ -101,11 +109,11 @@ def sweep_cases(draw):
 class TestEce:
     def test_perfect_predictions_zero(self):
         probs, labels = perfect_instance()
-        assert ece(probs, labels) == 0.0
+        assert ece_ew(probs, labels) == 0.0
 
     def test_hand_binned_example(self):
         # confidences {0.9, 0.9} -> one bin with acc 0.5; {0.6, 0.6} -> acc 1.0
-        value = ece(FOUR_SAMPLE_PROBS, FOUR_SAMPLE_LABELS, "equal_width", 15)
+        value = ece_ew(FOUR_SAMPLE_PROBS, FOUR_SAMPLE_LABELS, 15)
         assert value == pytest.approx(0.5 * 0.4 + 0.5 * 0.4, rel=1e-12)
 
     def test_equal_mass_one_per_bin(self, rng):
@@ -114,25 +122,25 @@ class TestEce:
         conf = probs.max(axis=1)
         correct = (probs.argmax(axis=1) == labels).astype(float)
         expected = np.abs(correct - conf).mean()
-        assert ece(probs, labels, "equal_mass", bins=n) == pytest.approx(expected, rel=1e-12)
+        assert ece_em(probs, labels, bins=n) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_naive_both_binnings(self, seed):
         gen = np.random.default_rng(seed)
         probs, labels = random_instance(gen)
-        assert ece(probs, labels, "equal_width") == pytest.approx(
+        assert ece_ew(probs, labels) == pytest.approx(
             oracles.naive_ece_ew(probs, labels), abs=1e-12
         )
-        assert ece(probs, labels, "equal_mass") == pytest.approx(
+        assert ece_em(probs, labels) == pytest.approx(
             oracles.naive_ece_em(probs, labels), abs=1e-12
         )
-        assert ece(probs, labels, "equal_width", r=2) == pytest.approx(
+        assert ece_r2(probs, labels) == pytest.approx(
             oracles.naive_ece_ew(probs, labels, r=2), abs=1e-12
         )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ece(np.zeros((0, 3)), np.zeros(0, dtype=int))
+            ece_ew(np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 class TestDece:
@@ -168,7 +176,7 @@ class TestDece:
         for seed in range(trials):
             gen = np.random.default_rng(seed + 1000)
             probs, labels = random_instance(gen, max_n=200, min_n=30)
-            plugin = ece(probs, labels, "equal_mass", r=2)
+            plugin = oracles.naive_ece_em(probs, labels, r=2)
             if dece(probs, labels) <= plugin + 1e-12:
                 hold += 1
         assert hold >= 0.95 * trials
@@ -197,7 +205,7 @@ class TestAce:
     def test_single_bin_equals_ece(self):
         probs = np.array([[0.62, 0.38], [0.6, 0.4], [0.58, 0.42]])
         labels = np.array([0, 1, 0])
-        assert ace(probs, labels, bins=1) == pytest.approx(ece(probs, labels, bins=1))
+        assert ace(probs, labels, bins=1) == pytest.approx(ece_ew(probs, labels, bins=1))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_naive(self, seed):
@@ -232,7 +240,7 @@ class TestSweepEce:
         assert sweep_ece(probs, labels) == pytest.approx(
             oracles.naive_sweep_ece(probs, labels), abs=1e-12
         )
-        assert sweep_ece(probs, labels, r=2) == pytest.approx(
+        assert sweep_ece_r2(probs, labels) == pytest.approx(
             oracles.naive_sweep_ece(probs, labels, r=2), abs=1e-12
         )
 
@@ -247,8 +255,8 @@ class TestSweepEce:
         want = oracles.naive_monotone_bin_count(probs, labels)
         with mock.patch.object(metrics_mod, "_SWEEP_CELLS", cells):
             assert metrics_mod._monotone_bin_count(csum_k) == want
-            for r in (1, 2):
-                assert sweep_ece(probs, labels, r=r) == pytest.approx(
+            for r, fn in SWEEP.items():
+                assert fn(probs, labels) == pytest.approx(
                     oracles.naive_sweep_ece(probs, labels, r=r), abs=1e-12
                 )
         if kind != "random":
@@ -259,7 +267,7 @@ class TestSweepEce:
         # the bin-count search and the equal-mass binning share one sort
         gen = np.random.default_rng(r)
         probs, labels = gen.dirichlet(np.ones(10), size=3000), gen.integers(0, 10, 3000)
-        want = sweep_ece(probs, labels, r=r)
+        want = SWEEP[r](probs, labels)
         calls = []
 
         def counted(values):
@@ -267,34 +275,34 @@ class TestSweepEce:
             return stable_argsort(values)
 
         monkeypatch.setattr(metrics_mod, "stable_argsort", counted)
-        assert sweep_ece(probs, labels, r=r) == want
+        assert SWEEP[r](probs, labels) == want
         assert calls == [3000]
 
 
 class TestKsError:
     def test_perfect_confident_predictions(self):
         probs, labels = perfect_instance()
-        assert ks_error(probs, labels) == pytest.approx(0.0, abs=1e-12)
+        assert ks(probs, labels) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_sample(self):
         probs = np.array([[0.7, 0.3]])
-        assert ks_error(probs, np.array([0])) == pytest.approx(0.3, rel=1e-12)
+        assert ks(probs, np.array([0])) == pytest.approx(0.3, rel=1e-12)
 
     def test_invariant_under_order_preserving_shuffle(self, rng):
         probs, labels = random_instance(rng, max_n=30)
-        base = ks_error(probs, labels)
+        base = ks(probs, labels)
         # reverse-stable permutation: distinct confidences move, ties keep order
         conf = probs.max(axis=1)
         order = np.argsort(conf, kind="stable")
         shuffled = np.empty_like(order)
         shuffled[order] = np.arange(len(order))  # place rows at their rank
-        assert ks_error(probs[np.argsort(shuffled)], labels[np.argsort(shuffled)]) == base
+        assert ks(probs[np.argsort(shuffled)], labels[np.argsort(shuffled)]) == base
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_naive(self, seed):
         gen = np.random.default_rng(seed)
         probs, labels = random_instance(gen)
-        assert ks_error(probs, labels) == pytest.approx(
+        assert ks(probs, labels) == pytest.approx(
             oracles.naive_ks(probs, labels), abs=1e-12
         )
 
@@ -384,18 +392,18 @@ class TestKdeEce:
 class TestCwece:
     def test_perfect_zero_all_variants(self):
         probs, labels = perfect_instance()
-        for variant in ("a", "s", "r2"):
-            assert cwece(probs, labels, variant) == 0.0
+        for fn in CWECE.values():
+            assert fn(probs, labels) == 0.0
 
     def test_s_equals_l_times_a_at_same_bins(self, rng):
         probs, labels = random_instance(rng, max_l=2)
-        s14 = cwece(probs, labels, "s", bins=14)
-        a14 = cwece(probs, labels, "a", bins=14)
+        s14 = cwece_s(probs, labels, bins=14)
+        a14 = cwece_a(probs, labels, bins=14)
         assert s14 == pytest.approx(2 * a14, rel=1e-12)
 
     def test_tiny_hand_instance(self):
         # N=4, L=2: per-class binned sums traced by hand via the oracle
-        assert cwece(FOUR_SAMPLE_PROBS, FOUR_SAMPLE_LABELS, "a") == pytest.approx(
+        assert cwece_a(FOUR_SAMPLE_PROBS, FOUR_SAMPLE_LABELS) == pytest.approx(
             oracles.naive_cwece(FOUR_SAMPLE_PROBS, FOUR_SAMPLE_LABELS, "a"), abs=1e-12
         )
 
@@ -403,8 +411,8 @@ class TestCwece:
     def test_matches_naive(self, seed):
         gen = np.random.default_rng(seed)
         probs, labels = random_instance(gen)
-        for variant in ("a", "s", "r2"):
-            assert cwece(probs, labels, variant) == pytest.approx(
+        for variant, fn in CWECE.items():
+            assert fn(probs, labels) == pytest.approx(
                 oracles.naive_cwece(probs, labels, variant), abs=1e-12
             )
 
@@ -430,7 +438,7 @@ class TestTcwece:
 
     def test_kmeans_binning_matches_shared_lloyd(self, rng):
         probs, labels = random_instance(rng, max_n=40, min_n=10)
-        value = tcwece_k(probs, labels, k=4)
+        value = tcwece_k(probs, labels, bins=4)
         # recompute with the same clustering primitive, literal aggregation
         n, n_classes = probs.shape
         per_class = []
@@ -634,7 +642,7 @@ class TestReliabilityData:
             (stats.counts[mask] / stats.counts.sum())
             @ np.abs(stats.accuracy[mask] - stats.mean_confidence[mask])
         )
-        assert recomputed == pytest.approx(ece(probs, labels), abs=1e-15)
+        assert recomputed == pytest.approx(ece_ew(probs, labels), abs=1e-15)
 
     def test_hand_four_sample_table(self):
         stats = reliability_data(FOUR_SAMPLE_PROBS, FOUR_SAMPLE_LABELS)
@@ -676,13 +684,13 @@ class TestPerfectPredictionInvariant:
         # (the kernel-density one keeps an O(bandwidth) smoothing bias and is
         # bounded by it instead)
         probs, labels = perfect_instance(n=60, l=4)
-        assert ece(probs, labels, "equal_width") <= 1e-9
-        assert ece(probs, labels, "equal_mass") <= 1e-9
-        assert ece(probs, labels, "equal_width", r=2) <= 1e-9
+        assert ece_ew(probs, labels) <= 1e-9
+        assert ece_em(probs, labels) <= 1e-9
+        assert ece_r2(probs, labels) <= 1e-9
         assert ace(probs, labels) <= 1e-9
         assert dece(probs, labels) <= 1e-9
         assert sweep_ece(probs, labels) <= 1e-9
-        assert ks_error(probs, labels) <= 1e-9
+        assert ks(probs, labels) <= 1e-9
         assert mmce(probs, labels) <= 1e-9
         assert kde_ece(probs, labels) <= 2 * 1e-3
 
@@ -692,10 +700,10 @@ class TestBinsOverride:
         probs, labels = random_instance(rng, min_n=40, max_n=80)
         report = evaluate(probs, labels, ["ece_ew", "cwece_s"], bins=10)
         assert report.values["ece_ew"] == pytest.approx(
-            ece(probs, labels, "equal_width", bins=10), abs=1e-15
+            ece_ew(probs, labels, bins=10), abs=1e-15
         )
         assert report.values["cwece_s"] == pytest.approx(
-            cwece(probs, labels, "s", bins=10), abs=1e-15
+            cwece_s(probs, labels, bins=10), abs=1e-15
         )
 
     def test_bin_stats_csv(self, tmp_path, rng):
@@ -709,20 +717,10 @@ class TestBinsOverride:
         assert lines[-1].startswith("overall")
 
 
-# every binned id and a direct call of its function at b bins
-BINNED_DIRECT = {
-    "ece_ew": lambda p, y, b: ece(p, y, "equal_width", b, r=1),
-    "ece_em": lambda p, y, b: ece(p, y, "equal_mass", b, r=1),
-    "ece_r2": lambda p, y, b: ece(p, y, "equal_width", b, r=2),
-    "dece": lambda p, y, b: dece(p, y, bins=b),
-    "ace": lambda p, y, b: ace(p, y, bins=b),
-    "cwece_a": lambda p, y, b: cwece(p, y, "a", bins=b),
-    "cwece_s": lambda p, y, b: cwece(p, y, "s", bins=b),
-    "cwece_r2": lambda p, y, b: cwece(p, y, "r2", bins=b),
-    "tcwece": lambda p, y, b: tcwece(p, y, bins=b),
-    "tcwece_k": lambda p, y, b: tcwece_k(p, y, k=b),
-}
-DOCUMENTED_BINS = {mid: 14 if mid == "cwece_s" else 15 for mid in BINNED_DIRECT}
+# every binned id and its documented bin count
+DOCUMENTED_BINS = {mid: 14 if mid == "cwece_s" else 15 for mid in (
+    "ece_ew", "ece_em", "ece_r2", "dece", "ace", "cwece_a", "cwece_s", "cwece_r2", "tcwece",
+    "tcwece_k")}
 
 
 class TestBinsOverrideEveryMetric:
@@ -734,9 +732,9 @@ class TestBinsOverrideEveryMetric:
     def test_binned_ids_are_the_metrics_taking_bins(self):
         takes_bins = {mid for mid, fn in METRICS.items()
                       if "bins" in inspect.signature(fn).parameters}
-        assert takes_bins == set(BINNED_DIRECT)
+        assert takes_bins == set(DOCUMENTED_BINS)
         for mid, fn in METRICS.items():
-            if mid in BINNED_DIRECT:
+            if mid in DOCUMENTED_BINS:
                 assert inspect.signature(fn).parameters["bins"].default == DOCUMENTED_BINS[mid]
 
     @pytest.mark.parametrize("bins", [None, 7, 30])
@@ -744,9 +742,9 @@ class TestBinsOverrideEveryMetric:
     def test_override_reaches_exactly_the_binned_metrics(self, mid, bins, instance):
         probs, labels = instance
         value = evaluate(probs, labels, [mid], bins=bins).values[mid]
-        if mid in BINNED_DIRECT:
+        if mid in DOCUMENTED_BINS:
             b = DOCUMENTED_BINS[mid] if bins is None else bins
-            assert value == BINNED_DIRECT[mid](probs, labels, b)
+            assert value == getattr(metrics_mod, mid)(probs, labels, bins=b)
         else:
             assert value == evaluate(probs, labels, [mid]).values[mid]
             assert value == float(METRICS[mid](probs, labels))
@@ -762,19 +760,14 @@ class TestBinsOverrideEveryMetric:
 
 # bad settings of the binned metrics, each with the message that names it
 BAD_SETTINGS = {
-    "ece_r3": (lambda p, y: ece(p, y, r=3), "r must be 1 or 2, got 3"),
-    "ece_binning": (lambda p, y: ece(p, y, "quantile"), "unknown binning 'quantile'"),
     "dece_bins": (lambda p, y: dece(p, y, bins=101), "a bin got 1 (N=200, bins=101)"),
-    "sweep_r0": (lambda p, y: sweep_ece(p, y, r=0), "r must be 1 or 2, got 0"),
-    "sweep_r3": (lambda p, y: sweep_ece(p, y, r=3), "r must be 1 or 2, got 3"),
-    "cwece_variant": (lambda p, y: cwece(p, y, variant="x"), "unknown cwece variant 'x'"),
-    "cwece_bins0": (lambda p, y: cwece(p, y, bins=0), "bins must be >= 1, got 0"),
+    "cwece_bins0": (lambda p, y: cwece_a(p, y, bins=0), "bins must be >= 1, got 0"),
     "tcwece_bins0": (lambda p, y: tcwece(p, y, bins=0), "bins must be >= 1, got 0"),
-    "tcwece_k0": (lambda p, y: tcwece_k(p, y, k=0), "k must be >= 1, got 0"),
-    "tcwece_k-1": (lambda p, y: tcwece_k(p, y, k=-1), "k must be >= 1, got -1"),
-    "ece_bins2.5": (lambda p, y: ece(p, y, bins=2.5), "bins must be an integer, got 2.5"),
-    "cwece_binsTrue": (lambda p, y: cwece(p, y, bins=True), "bins must be an integer, got True"),
-    "tcwece_k2.5": (lambda p, y: tcwece_k(p, y, k=2.5), "k must be an integer, got 2.5"),
+    "tcwece_k0": (lambda p, y: tcwece_k(p, y, bins=0), "bins must be >= 1, got 0"),
+    "tcwece_k-1": (lambda p, y: tcwece_k(p, y, bins=-1), "bins must be >= 1, got -1"),
+    "ece_bins2.5": (lambda p, y: ece_ew(p, y, bins=2.5), "bins must be an integer, got 2.5"),
+    "cwece_binsTrue": (lambda p, y: cwece_a(p, y, bins=True), "bins must be an integer, got True"),
+    "tcwece_k2.5": (lambda p, y: tcwece_k(p, y, bins=2.5), "bins must be an integer, got 2.5"),
     "evaluate_bins2.5": (lambda p, y: evaluate(p, y, bins=2.5),
                          "bins must be an integer, got 2.5"),
 }
@@ -800,9 +793,9 @@ class TestSettingsRejectedBeforeWork:
     def test_numpy_integer_bins_pass(self):
         gen = np.random.default_rng(0)
         probs, labels = gen.dirichlet(np.ones(4), size=200), gen.integers(0, 4, 200)
-        assert ece(probs, labels, bins=np.int64(10)) == ece(probs, labels, bins=10)
-        assert cwece(probs, labels, bins=np.int32(14)) == cwece(probs, labels, bins=14)
-        assert tcwece_k(probs, labels, k=np.int64(4)) == tcwece_k(probs, labels, k=4)
+        assert ece_ew(probs, labels, bins=np.int64(10)) == ece_ew(probs, labels, bins=10)
+        assert cwece_a(probs, labels, bins=np.int32(14)) == cwece_a(probs, labels, bins=14)
+        assert tcwece_k(probs, labels, bins=np.int64(4)) == tcwece_k(probs, labels, bins=4)
         assert (evaluate(probs, labels, ["ece_em", "tcwece"], bins=np.int64(7)).values
                 == evaluate(probs, labels, ["ece_em", "tcwece"], bins=7).values)
 
@@ -855,6 +848,14 @@ class TestInputGate:
 
 
 class TestRegistryAndReport:
+    def test_each_id_is_the_function_of_that_name(self):
+        assert list(METRICS) == [
+            "ece_ew", "ece_em", "ece_r2", "dece", "ace", "sweep_ece", "sweep_ece_r2", "ks",
+            "mmce", "kde_ece", "cwece_a", "cwece_s", "cwece_r2", "tcwece", "tcwece_k",
+            "dkde_ce", "skce", "nll", "accuracy"]
+        for mid, fn in METRICS.items():
+            assert fn is getattr(metrics_mod, mid)
+
     def test_all_metrics_finite_on_random_input(self, rng):
         gen = np.random.default_rng(0)
         probs = gen.dirichlet(np.ones(4), size=120)

@@ -4,7 +4,7 @@ import pytest
 from hcal.dataset import softmax_rows
 from hcal.loss import HCalConfig
 from hcal.maps import EnsembleTempMap, init_map
-from hcal.metrics import ece
+from hcal.metrics import ece_ew
 from hcal.optim import (
     AdamState,
     CandidateReport,
@@ -75,6 +75,10 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match=f"^{option}: unknown metric 'bogus'"):
             TrainConfig(**{option: "bogus"})
 
+    def test_negative_seed_names_the_option(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
+
 
 class TestTrainOne:
     def test_zero_epochs_returns_initial_map(self):
@@ -101,12 +105,12 @@ class TestTrainOne:
 
     def test_calibrated_input_does_not_degrade(self):
         task, _ = make_calibrated_task(n=3000, n_classes=5, seed=1)
-        start = ece(softmax_rows(task.logits), task.labels)
+        start = ece_ew(softmax_rows(task.logits), task.labels)
         trained, history = train_one(
             init_map("ensemble_temp", 4, seed=0), task,
             HCalConfig(window=50), TrainConfig(seed=0, **FAST),
         )
-        end = ece(trained.forward(task.logits).probs, task.labels)
+        end = ece_ew(trained.forward(task.logits).probs, task.labels)
         assert end <= start + 0.005
 
     def test_deterministic_history(self):
@@ -129,7 +133,7 @@ class TestTrainOne:
         metrics = [r.metric for r in history.records]
         assert history.best_epoch == int(np.argmin(metrics))
         probs = trained.forward(task.logits).probs
-        re_eval = ece(probs, task.labels)
+        re_eval = ece_ew(probs, task.labels)
         assert abs(re_eval - min(metrics)) < 1e-12
 
     def test_lr_schedule_monotone_and_exact_drops(self):
@@ -293,8 +297,8 @@ class TestSelectModel:
         best, _, reports = select_model(task, [("ensemble_temp", 2), ("ensemble_temp", 3)],
                                         HCalConfig(window=30), cfg)
         assert len(calls) == 2 * (epochs + 1)
-        assert min(r.selector_value for r in reports) == ece(best.forward(task.logits).probs,
-                                                             task.labels)
+        assert min(r.selector_value for r in reports) == ece_ew(best.forward(task.logits).probs,
+                                                                task.labels)
 
     def test_forward_blow_up_marks_candidate_failed(self):
         # at lr=1000 the monotonic_net's first update makes its next forward

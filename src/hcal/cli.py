@@ -181,7 +181,7 @@ def read_config_file(path: str | Path) -> dict:
 def merge_config(args: argparse.Namespace, skipped=()) -> RunConfig:
     """Config file, then flags.  A config-file key outside the command's
     ``COMMAND_KEYS`` is rejected, and so is a key in ``skipped`` given either
-    way: the hcal calibrator's own when ``compare`` leaves it out."""
+    way: those of the calibrators ``compare`` leaves out."""
     keys = COMMAND_KEYS[args.command]
     given = read_config_file(args.config) if args.config else {}
     unread = [key for key in given if key not in keys]
@@ -191,8 +191,9 @@ def merge_config(args: argparse.Namespace, skipped=()) -> RunConfig:
     given.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
     unread = [key for key in given if key in skipped]
     if unread:
-        raise ValueError(f"{unread[0]} (flag or config key) is read only by the hcal "
-                         f"calibrator, which --calibrators {args.calibrators} leaves out")
+        reader = "the hcal calibrator" if unread[0] in _HCAL_KEYS else "trained calibrators"
+        raise ValueError(f"{unread[0]} (flag or config key) is read only by {reader}, "
+                         f"which --calibrators {args.calibrators} leaves out")
     own = {f.name: given.pop(f.name) for f in fields(RunConfig) if f.name in given}
     return RunConfig(**own, overrides=given)
 
@@ -297,7 +298,9 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     names = _comma_list("calibrators", args.calibrators, _COMPARE_CALIBRATORS)
-    cfg = merge_config(args, () if "hcal" in names else _HCAL_KEYS)
+    # without hcal, its own keys are unread; with nothing trained, every trainer key
+    cfg = merge_config(args, () if "hcal" in names else
+                       _HCAL_KEYS if set(names) - {"uncal"} else _TRAIN_KEYS)
     # options are checked before any data loads
     grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
     metric_ids = cfg.metric_ids() or list(METRICS)

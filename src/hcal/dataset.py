@@ -13,6 +13,7 @@ means CSV, anything else binary):
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,6 +137,38 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     np.cumsum(~tied, out=base[1:])
     base *= n  # run * size; below 2**63 for any array that fits in memory
     return np.sort(base + order) - base
+
+
+_MAX_WORKERS = 4  # threads for blockwise, at most
+_WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1, _MAX_WORKERS)
+_pool: list = []  # the thread pool, made by the first call with two blocks
+if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
+    os.register_at_fork(after_in_child=_pool.clear)
+
+
+def blockwise(fn, starts) -> list:
+    """``[fn(s) for s in starts]``, run on up to ``_WORKERS`` threads: the
+    CPUs this process may use, at most ``_MAX_WORKERS``.  Worker w takes
+    blocks w, w + W, ... under the caller's ``np.errstate`` (threads do not
+    inherit it).  The blocks must be independent; results come back in block
+    order, so a kernel that combines them in that order is the same for any
+    worker count."""
+    starts = list(starts)
+    workers = min(_WORKERS, len(starts))
+    if workers < 2:
+        return [fn(s) for s in starts]
+    if not _pool:
+        from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
+        _pool.append(ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="hcal-block"))
+    errors = np.geterr()
+    def share(w):
+        with np.errstate(**errors):
+            return [fn(s) for s in starts[w::workers]]
+    out = [None] * len(starts)
+    for w, results in enumerate(_pool[0].map(share, range(workers))):
+        out[w::workers] = results
+    return out
 
 
 def _is_csv(path: Path) -> bool:

@@ -15,9 +15,10 @@ parameter value, hence argmax (accuracy) preserving:
 Positivity is enforced by exp-reparameterization, so the flat parameter
 vector is unconstrained and Adam-friendly.  ``forward`` returns a trace
 for ``backward``; ``ensemble_temp`` keeps no (m, N, L) member stack in it
-but recomputes its members per row block in both passes.  ``backward``
-returns the gradient of the flat parameters only: in post-hoc
-recalibration the logits are fixed.
+but recomputes its members per row block in both passes.  Its forward's
+blocks run on the process's CPUs (``dataset.blockwise``), bit for bit as on
+one.  ``backward`` returns the gradient of the flat parameters only: in
+post-hoc recalibration the logits are fixed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .dataset import softmax_rows
+from .dataset import blockwise, softmax_rows
 
 PIECEWISE_RANGE = 100.0  # transform domain is [-PIECEWISE_RANGE, 0]
 
@@ -162,16 +163,14 @@ class EnsembleTempMap(CalibrationMap):
         xmax = logits.max(axis=1)
         probs = np.empty_like(logits)
         rows = max(1, _MEMBER_BLOCK // (self.m * logits.shape[1]))
-        buf = np.empty(self.m * min(rows, len(logits)) * logits.shape[1])
-        for s in range(0, len(logits), rows):
-            x = logits[s:s + rows]
+        def block(s):
             # this block's (m, rows, L) members, softmaxed in place along the classes
-            members = buf[:self.m * x.size].reshape(self.m, *x.shape)
-            np.divide(x, temps[:, None, None], out=members)
+            members = np.divide(logits[s:s + rows], temps[:, None, None])
             members -= (xmax[s:s + rows] / temps[:, None])[:, :, None]
             np.exp(members, out=members)
             members /= members.sum(axis=2, keepdims=True)
             probs[s:s + rows] = np.einsum("k,kij->ij", w, members)
+        blockwise(block, range(0, len(logits), rows))
         self._check_finite(probs)
         return ForwardTrace(logits, probs, {"temps": temps, "weights": w, "xmax": xmax})
 

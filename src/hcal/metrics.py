@@ -11,7 +11,9 @@ Conventions shared across the suite:
   bin sizes differ by at most one and ties keep their input order;
 * every metric, :func:`reliability_data` and :func:`evaluate` first check
   the input: a non-empty N x L matrix with no NaN or infinite entry, and N
-  labels, each a whole number in [0, L); a ``ValueError`` names the fault.
+  labels, each a whole number in [0, L); a ``ValueError`` names the fault;
+* ``skce`` and ``dkde_ce`` run their row blocks on the process's CPUs
+  (``dataset.blockwise``), with the same value for any count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import loss as loss_mod
-from .dataset import check_labels, check_prob_matrix, one_hot, stable_argsort, write_csv
+from .dataset import (blockwise, check_labels, check_prob_matrix, one_hot, stable_argsort,
+                      write_csv)
 from .loss import kmeans_1d
 
 DEFAULT_BINS = 15
@@ -438,8 +441,7 @@ def skce(probs: np.ndarray, labels: np.ndarray) -> float:
     resid *= np.exp(probs.sum(axis=1, keepdims=True) / -SKCE_BANDWIDTH)
     by_class = probs.T.copy()  # contiguous columns for the class-wise minima
     by_class *= 2.0 / SKCE_BANDWIDTH
-    total = 0.0
-    for s in range(0, n, _SKCE_BLOCK):
+    def block(s):
         e = min(s + _SKCE_BLOCK, n)
         kmat = np.empty((e - s, n - s))
         work = np.empty_like(kmat)
@@ -450,7 +452,10 @@ def skce(probs: np.ndarray, labels: np.ndarray) -> float:
         kmat *= np.matmul(resid[s:e], resid[s:].T, out=work)
         # keep strictly upper-triangular pairs (global i < j): only the
         # block's diagonal square holds pairs with i >= j
-        total += float(np.triu(kmat[:, : e - s], 1).sum()) + float(kmat[:, e - s:].sum())
+        return float(np.triu(kmat[:, : e - s], 1).sum()) + float(kmat[:, e - s:].sum())
+    total = 0.0
+    for part in blockwise(block, range(0, n, _SKCE_BLOCK)):  # not sum(): 3.12 compensates
+        total += part
     return float(total / (n * (n - 1) / 2))
 
 
@@ -481,13 +486,14 @@ def dkde_ce(probs: np.ndarray, labels: np.ndarray) -> float:
     params_i = np.column_stack([alpha, const_i]).T  # [L + 1, i]
     events = x.events
     pi = np.empty_like(probs)  # [j, L] leave-one-out estimate
-    for s in range(0, n, _DKDE_BLOCK):
+    def block(s):
         e = min(s + _DKDE_BLOCK, n)
         logk = at_j[s:e] @ params_i  # [j, i]
         logk[np.arange(e - s), np.arange(s, e)] = -np.inf  # leave j out
         logk -= logk.max(axis=1, keepdims=True)  # stabilize per sample j
         np.exp(logk, out=logk)
         np.divide(logk @ events, logk.sum(axis=1, keepdims=True), out=pi[s:e])
+    blockwise(block, range(0, n, _DKDE_BLOCK))
     diff = probs - pi
     return float((diff * diff).sum(axis=1).mean())
 

@@ -406,6 +406,11 @@ HCAL_ONLY = {"loss": "brier", "epsilon": "0.5", "window": "50", "multiplier": "1
              "selector_metric": "ece_ew", "family": "monotonic_net", "m": "2", "z": "3",
              "groups": "3", "units": "2"}
 
+# a valid value of each key only trained calibrators read, hcal or scaling
+TRAINER_ONLY = {"seed": "4", "lr": "0.1", "max_epochs": "5", "scheduler_patience": "3",
+                "scheduler_factor": "0.5", "early_stop_patience": "7", "batch_size": "100",
+                "monitor_metric": "skce"}
+
 
 class TestCompareWithoutHcal:
     def test_hcal_keys_are_the_declared_set(self):
@@ -425,6 +430,24 @@ class TestCompareWithoutHcal:
         assert (f"{key} (flag or config key) is read only by the hcal calibrator, "
                 f"which --calibrators uncal,nll_ts leaves out") in err
         assert "nope" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(TRAINER_ONLY))
+    def test_trainer_key_rejected_when_nothing_trains(self, key, source, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"{key} = {TRAINER_ONLY[key]}\n", encoding="utf-8")
+        given = (["--config", str(conf)] if source == "config"
+                 else ["--" + key.replace("_", "-"), TRAINER_ONLY[key]])
+        rc = main(["compare", *missing_inputs("compare", tmp_path), "--calibrators", "uncal",
+                   *given])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (f"{key} (flag or config key) is read only by trained calibrators, "
+                f"which --calibrators uncal leaves out") in err
+        assert "nope" not in err
+
+    def test_trainer_and_hcal_keys_are_every_train_key(self):
+        assert set(cli.COMMAND_KEYS["train"]) == cli._HCAL_KEYS | set(TRAINER_ONLY)
 
     def test_scaling_keys_still_read(self, small_task, tmp_path):
         out = tmp_path / "cmp.csv"

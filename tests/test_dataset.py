@@ -1,15 +1,19 @@
 import math
+import os
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcal import dataset
 from hcal.dataset import (
     DatasetFormatError,
     LogitDataset,
+    blockwise,
     check_prob_matrix,
     load_dataset,
     save_dataset,
@@ -284,6 +288,47 @@ class TestStableArgsort:
         stable = np.argsort(values, kind="stable")
         assert not np.array_equal(np.argsort(values), stable)
         np.testing.assert_array_equal(stable_argsort(values), stable)
+
+
+class TestBlockwise:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3, 7])
+    def test_results_in_block_order(self, workers, n_blocks, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", workers)
+        ran_on = set()
+
+        def block(s):
+            ran_on.add(threading.get_ident())
+            return s * s
+
+        assert blockwise(block, range(0, 10 * n_blocks, 10)) == [
+            s * s for s in range(0, 10 * n_blocks, 10)]
+        assert len(ran_on) <= max(1, min(workers, n_blocks))
+        if min(workers, n_blocks) < 2:  # one block, or one worker: the caller's thread
+            assert ran_on <= {threading.get_ident()}
+
+    def test_workers_enter_the_callers_errstate(self, monkeypatch):
+        # numpy's error state is a context variable that threads do not inherit
+        monkeypatch.setattr(dataset, "_WORKERS", 3)
+        with np.errstate(divide="raise", over="ignore"):
+            states = blockwise(lambda s: np.geterr(), range(5))
+        assert all(st["divide"] == "raise" and st["over"] == "ignore" for st in states)
+
+    def test_a_blocks_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+
+        def block(s):
+            if s == 3:
+                raise ValueError("block 3")
+            return s
+
+        with pytest.raises(ValueError, match="block 3"):
+            blockwise(block, range(4))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="Linux call")
+    def test_worker_count_is_the_processs_cpus_capped(self):
+        assert 1 <= dataset._WORKERS <= dataset._MAX_WORKERS == 4
+        assert dataset._WORKERS == min(len(os.sched_getaffinity(0)), 4)
 
 
 class TestSplitDataset:

@@ -1,6 +1,13 @@
+import os
 import re
+import signal
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hcal import dataset
 from hcal.dataset import check_prob_matrix, softmax_rows
 from hcal.loss import HCalConfig, brier_loss, hcal_loss
 from hcal.maps import FAMILIES as MAP_FAMILIES
@@ -461,9 +469,11 @@ class TestEnsembleTempForward:
         assert_grad_matches_fd(cal_map, logits, rng.integers(0, 20_000, 3))
 
     @pytest.mark.parametrize("m, n, l", [(128, 500, 100), (16, 20_000, 10)])
-    def test_no_member_stack_alive(self, m, n, l):
+    def test_no_member_stack_alive(self, m, n, l, monkeypatch):
         # an (m, N, L) array would be m times the logits (51 and 26 MB here);
-        # forward and backward each hold the logits' size plus a few blocks
+        # forward and backward each hold the logits' size plus a few blocks,
+        # with two forward workers each holding its own block
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
         cal_map = EnsembleTempMap(m, params=np.random.default_rng(0).normal(0, 1, 2 * m))
         logits = np.random.default_rng(1).normal(0, 4, (n, l))
         bound = logits.nbytes + 8 * _MEMBER_BLOCK * 8
@@ -492,3 +502,76 @@ class TestEnsembleTempForward:
         grad = cal_map.backward(trace, hcal_loss(trace.probs, labels, HCalConfig()).prob_grad)
         assert np.all(grad[:m] == grad[0]) and np.all(grad[m:] == grad[m])
         assert grad[0] != 0
+
+
+class TestEnsembleTempWorkers:
+    """The forward's row blocks run on ``dataset._WORKERS`` threads; no
+    worker count changes a bit of the output."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([1, 2, 16, 128]), l=st.sampled_from([2, 10, 1000]),
+           blocks=st.integers(1, 3), offset=st.integers(-1, 1), seed=st.integers(0, 2**32 - 1))
+    @example(m=128, l=1000, blocks=3, offset=1, seed=0)  # one row per block, 4 blocks
+    @example(m=1, l=2, blocks=1, offset=1, seed=1)  # 2 blocks, fewer than 3 workers
+    def test_worker_count_changes_nothing(self, m, l, blocks, offset, seed):
+        rows = max(1, _MEMBER_BLOCK // (m * l))
+        gen = np.random.default_rng(seed)
+        cal_map = EnsembleTempMap(m, params=np.concatenate(
+            [gen.uniform(-3.0, 3.0, m), gen.normal(0.0, 1.0, m)]))
+        logits = gen.uniform(-50.0, 50.0, (max(1, blocks * rows + offset), l))
+        want = oracles.naive_ensemble_temp_forward(cal_map, logits).probs
+        for workers in (1, 2, 3):
+            with mock.patch.object(dataset, "_WORKERS", workers):
+                assert np.array_equal(cal_map.forward(logits).probs, want)
+
+    @staticmethod
+    def three_blocks(rng, m=2, l=4):
+        return rng.normal(0, 3, (3 * (_MEMBER_BLOCK // (m * l)), l))
+
+    # a worker without the caller's errstate would warn, and raise here
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_multi_block_blow_up_raises_without_numpy_warnings(self, rng, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 3)
+        cal_map = EnsembleTempMap(2, params=np.array([-1000.0, 0.0, 0.0, 0.0]))  # T = 0
+        with pytest.raises(FloatingPointError, match="non-finite probabilities"):
+            cal_map.forward(self.three_blocks(rng))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_multi_block_infinite_temperature_is_uniform_without_warnings(self, rng,
+                                                                         monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 3)
+        cal_map = EnsembleTempMap(2, params=np.array([1000.0, 1000.0, 0.0, 0.0]))
+        assert np.all(cal_map.forward(self.three_blocks(rng)).probs == 0.25)
+
+    def test_import_and_one_block_start_no_thread(self):
+        # the pool, and the executor module it needs, come with the first
+        # forward with two blocks, not before: set-up time stays as it was
+        code = ("import sys, threading; before = threading.active_count(); "
+                "import numpy as np, hcal; "
+                "hcal.EnsembleTempMap(16).forward(np.zeros((100, 10))); "
+                "print(before, threading.active_count(), 'concurrent' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        before, after, executor_imported = proc.stdout.split()
+        assert before == after and executor_imported == "False"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_runs_a_threaded_forward(self, rng, monkeypatch):
+        # the parent's pool threads do not exist in a child; the child makes its own
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        cal_map = EnsembleTempMap(2, params=rng.normal(0, 1, 4))
+        logits = self.three_blocks(rng)
+        probs = cal_map.forward(logits).probs
+        assert threading.active_count() > 1
+        pid = os.fork()
+        if pid == 0:  # the child leaves only through os._exit
+            code = 1
+            try:
+                signal.alarm(10)
+                code = 0 if np.array_equal(cal_map.forward(logits).probs, probs) else 3
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

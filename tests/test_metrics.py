@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hcal import dataset
 from hcal import metrics as metrics_mod
 from hcal.dataset import softmax_rows, stable_argsort
 from hcal.loss import kmeans_1d
@@ -500,8 +501,10 @@ class TestSkce:
             oracles.naive_skce(probs, labels), rel=1e-12, abs=1e-15
         )
 
-    def test_workspace_bounded(self):
-        # N=4000, L=10: a few (block, N) arrays, not a (block, N, L) temporary
+    def test_workspace_bounded(self, monkeypatch):
+        # N=4000, L=10: a few (block, N) arrays per worker, not a (block, N, L)
+        # temporary
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
         gen = np.random.default_rng(0)
         n, l = 4000, 10
         probs = gen.dirichlet(np.ones(l), size=n)
@@ -577,14 +580,41 @@ class TestDkdeCe:
             oracles.naive_dkde_ce(probs, labels), rel=1e-12
         )
 
-    def test_workspace_bounded(self):
-        # N=6000: a (block, N) array at a time, not two N x N ones
+    def test_workspace_bounded(self, monkeypatch):
+        # N=6000: a (block, N) array per worker, not two N x N ones
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
         gen = np.random.default_rng(0)
         n, l = 6000, 10
         probs = gen.dirichlet(np.ones(l), size=n)
         labels = gen.integers(0, l, n)
         bound = 2 * metrics_mod._DKDE_BLOCK * n * 8 + 12 * n * l * 8
         assert traced_peak(dkde_ce, probs, labels) <= bound
+
+
+def pairwise_instances():
+    """The oracle tests' inputs: random and block-edge ones in blocks of
+    ``BLOCK`` (1 to 8 of them) and scale ones in blocks of 32 (16 and 94)."""
+    for seed in range(8):
+        yield random_instance(np.random.default_rng(seed), max_n=30, max_l=8), BLOCK
+    for n in BLOCK_EDGE_N:
+        yield block_edge_instance(n), BLOCK
+    for n, n_classes in [(500, 100), (3000, 10)]:
+        yield scale_instance(n, n_classes), None
+
+
+@pytest.mark.parametrize("metric, block", [(skce, "_SKCE_BLOCK"), (dkde_ce, "_DKDE_BLOCK")])
+def test_pairwise_worker_count_changes_nothing(metric, block, monkeypatch):
+    """skce and dkde_ce run their row blocks on ``dataset._WORKERS`` threads,
+    including inputs with fewer blocks than workers; no count changes a bit."""
+    for (probs, labels), size in pairwise_instances():
+        if size is not None:
+            monkeypatch.setattr(metrics_mod, block, size)
+        values = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dataset, "_WORKERS", workers)
+            values.add(metric(probs, labels).hex())
+        monkeypatch.undo()
+        assert len(values) == 1, (probs.shape, values)
 
 
 def scale_instance(n, n_classes):

@@ -21,17 +21,18 @@ from hcal.synthetic import make_overconfident_task
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--epsilons", default="1e-20,1e-10,1e-5,1e-2,1e-1")
-    ap.add_argument("--n-train", type=int, default=5000)
-    ap.add_argument("--n-test", type=int, default=10000)
+    ap.add_argument("--n-train", type=int)
+    ap.add_argument("--n-test", type=int)
     ap.add_argument("--m", type=int, default=16, help="temperature components")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    task = make_overconfident_task(
-        n_train=args.n_train, n_test=args.n_test, seed=42
-    )
+    # an omitted size keeps make_overconfident_task's default
+    sizes = {"n_train": args.n_train, "n_test": args.n_test}
+    task = make_overconfident_task(**{k: v for k, v in sizes.items() if v is not None}, seed=42)
     uncal = ece_ew(softmax_rows(task.test.logits), task.test.labels)
-    print(f"uncalibrated test ECEew: {uncal:.5f}")
+    print(f"uncalibrated test ECEew: {uncal:.5f} "
+          f"(N_train={task.train.n_samples}, N_test={task.test.n_samples})")
     cfg = TrainConfig(seed=args.seed)
     for eps_text in args.epsilons.split(","):
         eps = float(eps_text)

@@ -19,17 +19,16 @@ import numpy as np
 from .dataset import LogitDataset, load_dataset, softmax_rows, write_csv
 from .diagram import render_reliability_svg
 from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
-from .maps import FAMILIES, STANDARD_HYPER_GRID, EnsembleTempMap, load_map, save_map
+from .maps import FAMILIES, EnsembleTempMap, load_map, save_map
 from .metrics import (DEFAULT_BINS, METRICS, MetricReport, _check_bins, evaluate,
                       reliability_data)
 from .optim import TrainConfig, check_trainable, standard_grid, select_model, train_one
 
 
 _LOSS_KEYS = {f.name for f in fields(HCalConfig)}
-_SIZE_KEYS = [name for cls in FAMILIES.values() for name in cls.hyper_names]
 _COMPARE_CALIBRATORS = ("uncal", "hcal", "nll_ts", "brier_ts")
 # the keys only the hcal calibrator reads (the baselines fix loss and family)
-_HCAL_KEYS = {"loss", "selector_metric", "family", *_LOSS_KEYS, *_SIZE_KEYS}
+_HCAL_KEYS = {"loss", "selector_metric", "family", "size", *_LOSS_KEYS}
 
 
 @dataclass
@@ -43,10 +42,7 @@ class RunConfig:
 
     loss: str = "hcal"
     family: str | None = None  # None = the standard grid
-    m: int | None = None
-    z: int | None = None
-    groups: int | None = None
-    units: int | None = None
+    size: str | None = None  # the family's sizes joined by "x"; None = its grid
     bins: int | None = None  # None = each metric's documented default
     metrics: str | None = None  # comma-separated ids; None = full suite
     overrides: dict = field(default_factory=dict)
@@ -76,25 +72,26 @@ class RunConfig:
         return TrainConfig(**kwargs)
 
     def family_grid(self) -> list[tuple]:
-        """The (family, hyper) candidates.  Without a family: the standard
-        grid; without sizes: the family's grid; else the one given size, a
-        missing monotonic_net size copying the given one.  A size flag the
-        family does not take is rejected."""
-        if self.family is not None and self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        names = FAMILIES[self.family].hyper_names if self.family else ()
-        sizes = {k: getattr(self, k) for k in _SIZE_KEYS if getattr(self, k) is not None}
-        for key in sizes:
-            if key not in names:
-                owner = next(f for f, cls in FAMILIES.items() if key in cls.hyper_names)
-                raise ValueError(f"--{key} is a size of {owner}; it needs --family {owner}"
-                                 + (f", not {self.family}" if self.family else ""))
+        """The (family, hyper) candidates: the standard grid without a
+        family, the family's ``grid`` without a size, else the one
+        ``size``: a positive integer per ``hyper_names`` entry, joined by
+        ``x`` (``16``, ``10x10``)."""
         if self.family is None:
+            if self.size is not None:
+                raise ValueError(f"--size {self.size} needs --family "
+                                 f"(one of {', '.join(sorted(FAMILIES))})")
             return standard_grid()
-        if not sizes:
-            return [(self.family, h) for h in STANDARD_HYPER_GRID[self.family]]
-        hyper = tuple(sizes.get(k, next(iter(sizes.values()))) for k in names)
-        return [(self.family, hyper if len(hyper) > 1 else hyper[0])]
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        cls = FAMILIES[self.family]
+        if self.size is None:
+            return [(self.family, h) for h in cls.grid]
+        sizes = tuple(int(p) if p.isascii() and p.isdigit() else 0 for p in self.size.split("x"))
+        if len(sizes) != len(cls.hyper_names) or min(sizes) < 1:
+            raise ValueError(f"--size {self.size!r} does not fit {self.family}, which takes "
+                             f"{' x '.join(cls.hyper_names)}: a positive integer per size, "
+                             f"joined by x")
+        return [(self.family, sizes if len(sizes) > 1 else sizes[0])]
 
     def metric_ids(self) -> list[str] | None:
         """The ``--metrics`` ids, each checked; None when not given."""
@@ -127,7 +124,7 @@ CONFIG_KEYS = {
 _TRAIN_KEYS = ("seed", "loss", "epsilon", "window", "multiplier", "clusters", "norm",
                "weighting", "lr", "max_epochs", "scheduler_patience", "scheduler_factor",
                "early_stop_patience", "batch_size", "monitor_metric", "selector_metric",
-               "family", "m", "z", "groups", "units")
+               "family", "size")
 COMMAND_KEYS = {
     "train": _TRAIN_KEYS,
     "eval": ("metrics", "bins"),
@@ -145,10 +142,8 @@ _HELP = {
     "early_stop_patience": "epochs without monitor improvement before training stops",
     "batch_size": "samples per Adam step (default: all N, one full batch; "
                   "fewer: batches of a fresh seeded shuffle each epoch)",
-    "m": "ensemble_temp component count",
-    "z": "piecewise_linear segment count",
-    "groups": "monotonic_net group count",
-    "units": "monotonic_net units per group",
+    "size": "a positive integer per size of the family, joined by x (default: its grid): "
+            + ", ".join(f"{f} {' x '.join(cls.hyper_names)}" for f, cls in FAMILIES.items()),
     "metrics": "comma-separated metric ids (default: full suite)",
     "bins": "bin count (default: each binned metric's own; 15 in a diagram)",
 }
@@ -241,13 +236,7 @@ def _apply_model(model_path: str, test_path: str) -> tuple[LogitDataset, np.ndar
     ds = load_dataset(test_path)
     if model_path == "uncal":
         return ds, softmax_rows(ds.logits)
-    cal_map = load_map(model_path)
-    if cal_map.n_classes and cal_map.n_classes != ds.n_classes:
-        raise ValueError(
-            f"class-count mismatch: model {model_path} was trained with "
-            f"{cal_map.n_classes} classes, dataset has {ds.n_classes}"
-        )
-    return ds, cal_map.forward(ds.logits).probs
+    return ds, load_map(model_path).forward(ds.logits).probs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -306,6 +295,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     metric_ids = cfg.metric_ids() or list(METRICS)
     train_ds = load_dataset(args.train_path)
     test_ds = load_dataset(args.test_path)
+    if set(names) - {"uncal"} and train_ds.n_classes != test_ds.n_classes:
+        raise ValueError(f"class-count mismatch: {args.train_path} has {train_ds.n_classes} "
+                         f"classes, {args.test_path} has {test_ds.n_classes}")
     if "hcal" in names:  # before any calibrator uses compute
         check_trainable(train_ds, loss_spec, train_cfg)
     elif any(name.endswith("_ts") for name in names):  # scaling reads no window or selector

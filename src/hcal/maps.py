@@ -35,12 +35,6 @@ from .dataset import blockwise, softmax_rows
 
 PIECEWISE_RANGE = 100.0  # transform domain is [-PIECEWISE_RANGE, 0]
 
-STANDARD_HYPER_GRID = {
-    "ensemble_temp": (16, 32, 64, 128),
-    "piecewise_linear": (1, 10, 100, 500),
-    "monotonic_net": ((2, 2), (10, 10), (20, 20), (50, 50)),
-}
-
 _MAP_MAGIC = b"HMAP"
 _MAP_HEADER = struct.Struct("<4sIIIIII")  # magic, version, family, h0, h1, n_classes, n_params
 
@@ -66,16 +60,19 @@ def _softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
 
 
 class CalibrationMap:
-    """Base class; concrete families implement forward/backward.
+    """Base class of the map families.
 
     Each family declares its name, the fixed ``family_id`` written into
-    model files, and ``hyper_names``, the constructor's size arguments in
-    order; :data:`FAMILIES` collects the classes.
+    model files, ``hyper_names``, the constructor's size arguments in
+    order, and ``grid``, its standard sizes; :data:`FAMILIES` collects the
+    classes.  It implements ``_forward(logits) -> (probs, cache)`` and
+    ``_backward(trace, upstream)``; the checks all share are made here.
     """
 
     family: str
     family_id: int
     hyper_names: tuple[str, ...]
+    grid: tuple
 
     def __init__(self, params: np.ndarray, size: int, seed: int, n_classes: int = 0):
         params = np.asarray(params, dtype=np.float64)
@@ -103,28 +100,32 @@ class CalibrationMap:
         sizes = ", ".join(f"{name}={getattr(self, name)}" for name in self.hyper_names)
         return f"{self.family}({sizes})"
 
+    @_quiet_overflow
     def forward(self, logits: np.ndarray) -> ForwardTrace:
-        raise NotImplementedError
+        """Probabilities of the float64 ``logits`` and the trace ``backward``
+        reads.  A map pinned to a class count takes only logits that wide;
+        non-finite probabilities raise ``FloatingPointError``."""
+        logits = np.asarray(logits, dtype=np.float64)
+        if self.n_classes and logits.shape[-1] != self.n_classes:
+            raise ValueError(f"class-count mismatch: {self.describe()} was trained with "
+                             f"{self.n_classes} classes, the logits have {logits.shape[-1]}")
+        probs, cache = self._forward(logits)
+        if not np.all(np.isfinite(probs)):
+            raise FloatingPointError("non-finite probabilities in forward pass (parameter blow-up?)")
+        return ForwardTrace(logits, probs, cache)
 
     def backward(self, trace: ForwardTrace, upstream: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        if upstream.shape != trace.probs.shape:
+            raise ValueError(
+                f"upstream shape {upstream.shape} does not match probs {trace.probs.shape}"
+            )
+        return self._backward(trace, upstream)
 
     def clone(self) -> "CalibrationMap":
         new = type(self).__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.params = self.params.copy()
         return new
-
-    def _check_trace(self, trace: ForwardTrace, upstream: np.ndarray) -> None:
-        if upstream.shape != trace.probs.shape:
-            raise ValueError(
-                f"upstream shape {upstream.shape} does not match probs {trace.probs.shape}"
-            )
-
-    @staticmethod
-    def _check_finite(probs: np.ndarray) -> None:
-        if not np.all(np.isfinite(probs)):
-            raise FloatingPointError("non-finite probabilities in forward pass (parameter blow-up?)")
 
 
 class EnsembleTempMap(CalibrationMap):
@@ -139,6 +140,7 @@ class EnsembleTempMap(CalibrationMap):
     family = "ensemble_temp"
     family_id = 0
     hyper_names = ("m",)
+    grid = (16, 32, 64, 128)
 
     def __init__(self, m: int, seed: int = 0, params: np.ndarray | None = None, n_classes: int = 0):
         if m < 1:
@@ -155,9 +157,7 @@ class EnsembleTempMap(CalibrationMap):
         w /= w.sum()
         return temps, w
 
-    @_quiet_overflow
-    def forward(self, logits: np.ndarray) -> ForwardTrace:
-        logits = np.asarray(logits, dtype=np.float64)
+    def _forward(self, logits):
         temps, w = self._unpack()
         # max_j fl(x_ij / T) == fl(max_j x_ij / T): division by T > 0 is monotone
         xmax = logits.max(axis=1)
@@ -171,14 +171,12 @@ class EnsembleTempMap(CalibrationMap):
             members /= members.sum(axis=2, keepdims=True)
             probs[s:s + rows] = np.einsum("k,kij->ij", w, members)
         blockwise(block, range(0, len(logits), rows))
-        self._check_finite(probs)
-        return ForwardTrace(logits, probs, {"temps": temps, "weights": w, "xmax": xmax})
+        return probs, {"temps": temps, "weights": w, "xmax": xmax}
 
-    def backward(self, trace, upstream):
+    def _backward(self, trace, upstream):
         """Recomputes each row block's unnormalised members E (rows, m, L) and
         contracts them with [1, g, g*x, x] per sample: Z, then A = sum E g / Z,
         B = sum E g x / Z and C = sum E x / Z per (sample, member)."""
-        self._check_trace(trace, upstream)
         temps, w, xmax = trace.cache["temps"], trace.cache["weights"], trace.cache["xmax"]
         logits = trace.logits
         n_classes = logits.shape[1]
@@ -214,22 +212,15 @@ class ScalarTransformMap(CalibrationMap):
     softmax.
 
     Subclasses implement ``_transform(x) -> (y, cache)`` and
-    ``_transform_backward(cache, dy) -> param_grad``; the base owns the
-    normalization, the softmax, the finiteness check and the softmax
-    backward.  Only the parameter gradient is returned: the logits are
-    fixed inputs of post-hoc recalibration.
+    ``_transform_backward(cache, dy) -> param_grad``; this class owns the
+    normalization, the softmax and the softmax backward.
     """
 
-    @_quiet_overflow
-    def forward(self, logits: np.ndarray) -> ForwardTrace:
-        logits = np.asarray(logits, dtype=np.float64)
+    def _forward(self, logits):
         y, cache = self._transform(logits - logits.max(axis=1, keepdims=True))
-        probs = softmax_rows(y)
-        self._check_finite(probs)
-        return ForwardTrace(logits, probs, cache)
+        return softmax_rows(y), cache
 
-    def backward(self, trace, upstream):
-        self._check_trace(trace, upstream)
+    def _backward(self, trace, upstream):
         return self._transform_backward(trace.cache, _softmax_backward(trace.probs, upstream))
 
 
@@ -244,6 +235,7 @@ class PiecewiseLinearMap(ScalarTransformMap):
     family = "piecewise_linear"
     family_id = 1
     hyper_names = ("z",)
+    grid = (1, 10, 100, 500)
 
     def __init__(self, z: int, seed: int = 0, params: np.ndarray | None = None, n_classes: int = 0):
         if z < 1:
@@ -292,6 +284,7 @@ class MonotonicNetMap(ScalarTransformMap):
     family = "monotonic_net"
     family_id = 2
     hyper_names = ("groups", "units")
+    grid = ((2, 2), (10, 10), (20, 20), (50, 50))
 
     def __init__(
         self,
@@ -402,8 +395,8 @@ FAMILIES: dict[str, type[CalibrationMap]] = {
     cls.family: cls for cls in (EnsembleTempMap, PiecewiseLinearMap, MonotonicNetMap)
 }
 """Every map family by name: the one table behind :func:`init_map`,
-:func:`load_map` and :func:`save_map`, the CLI's size flags, and each
-map's ``hyper()`` and ``describe()``."""
+:func:`load_map` and :func:`save_map`, the standard grid, the CLI's
+``--size``, and each map's ``hyper()`` and ``describe()``."""
 
 
 def hyper_tuple(hyper) -> tuple:
@@ -414,8 +407,8 @@ def hyper_tuple(hyper) -> tuple:
 def init_map(family: str, hyper, seed: int = 0) -> CalibrationMap:
     """Create a near-identity map of the given family.
 
-    ``hyper`` is an int (m or z) for the first two families and a
-    (groups, units) pair for ``monotonic_net``.  Off-grid sizes are allowed
+    ``hyper`` holds one size per ``hyper_names`` entry, an int for one and a
+    tuple for more, as in the family's ``grid``.  Off-grid sizes are allowed
     but flagged with a warning.
     """
     if family not in FAMILIES:
@@ -425,12 +418,9 @@ def init_map(family: str, hyper, seed: int = 0) -> CalibrationMap:
     if len(sizes) != len(cls.hyper_names):
         names = ", ".join(cls.hyper_names)
         raise ValueError(f"{family} takes the sizes ({names}), got {hyper!r}")
-    if (sizes if len(sizes) > 1 else sizes[0]) not in STANDARD_HYPER_GRID[family]:
-        warnings.warn(
-            f"{family} hyper {hyper!r} is outside the standard grid "
-            f"{STANDARD_HYPER_GRID[family]}",
-            stacklevel=2,
-        )
+    if (sizes if len(sizes) > 1 else sizes[0]) not in cls.grid:
+        warnings.warn(f"{family} hyper {hyper!r} is outside the standard grid {cls.grid}",
+                      stacklevel=2)
     return cls(*sizes, seed=seed)
 
 

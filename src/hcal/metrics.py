@@ -12,8 +12,9 @@ Conventions shared across the suite:
 * every metric, :func:`reliability_data` and :func:`evaluate` first check
   the input: a non-empty N x L matrix with no NaN or infinite entry, and N
   labels, each a whole number in [0, L); a ``ValueError`` names the fault;
-* ``skce`` and ``dkde_ce`` run their row blocks on the process's CPUs
-  (``dataset.blockwise``), with the same value for any count.
+* ``skce`` and ``dkde_ce`` run their row blocks, and ``kde_ece`` its grid
+  blocks, on the process's CPUs (``dataset.blockwise``), with the same
+  value for any count.
 """
 
 from __future__ import annotations
@@ -322,7 +323,8 @@ def kde_ece(probs: np.ndarray, labels: np.ndarray) -> float:
     is the 1.06 * sigma * N^-1/5 rule of thumb, floored at 1e-3.
     The grid and the confidences are scaled by 1 / (bw sqrt 2), so each
     block of grid points builds its (block, N) kernel array in place in four
-    passes, small enough to stay in cache for its two sums.
+    passes, small enough to stay in cache for its two sums, and writes its
+    own entries of the two sums.
     """
     x = _checked(probs, labels)
     conf, correct = x.top
@@ -333,15 +335,14 @@ def kde_ece(probs: np.ndarray, labels: np.ndarray) -> float:
     scale = 1.0 / (bandwidth * np.sqrt(2.0))
     scaled_grid, scaled_conf = grid * scale, conf * scale
     numer, denom = np.empty(KDE_GRID_POINTS), np.empty(KDE_GRID_POINTS)
-    work = np.empty((_KDE_BLOCK, n))
-    for s in range(0, KDE_GRID_POINTS, _KDE_BLOCK):
-        kmat = np.subtract.outer(scaled_grid[s:s + _KDE_BLOCK], scaled_conf,
-                                 out=work[:KDE_GRID_POINTS - s])
+    def block(s):
+        kmat = np.subtract.outer(scaled_grid[s:s + _KDE_BLOCK], scaled_conf)
         np.square(kmat, out=kmat)
         np.negative(kmat, out=kmat)
         np.exp(kmat, out=kmat)  # unnormalized Gaussian
         np.matmul(kmat, correct, out=numer[s:s + _KDE_BLOCK])
         kmat.sum(axis=1, out=denom[s:s + _KDE_BLOCK])
+    blockwise(block, range(0, KDE_GRID_POINTS, _KDE_BLOCK))
     pi = np.where(denom > 0, numer / np.maximum(denom, 1e-300), 0.0)
     density = denom / (n * bandwidth * np.sqrt(2.0 * np.pi))
     integrand = np.where(denom > 0, np.abs(grid - pi) * density, 0.0)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .dataset import LogitDataset, softmax_rows, write_csv
 from .loss import LossOutput, resolve_loss
-from .maps import STANDARD_HYPER_GRID, CalibrationMap, hyper_tuple, init_map
+from .maps import FAMILIES, CalibrationMap, hyper_tuple, init_map
 from .metrics import get_metric
 
 ADAM_BETA1 = 0.9
@@ -279,5 +279,5 @@ def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig, selects: bo
 
 
 def standard_grid() -> list[tuple]:
-    """The standard 12-candidate family grid."""
-    return [(family, h) for family, hypers in STANDARD_HYPER_GRID.items() for h in hypers]
+    """The standard 12-candidate family grid: each family's ``grid``."""
+    return [(family, h) for family, cls in FAMILIES.items() for h in cls.grid]

@@ -83,7 +83,7 @@ class TestTrain:
         model = tmp_path / "model.hcal"
         rc = main([
             "train", str(train_path), str(model),
-            "--family", "ensemble_temp", "--m", "4",
+            "--family", "ensemble_temp", "--size", "4",
             "--selector-metric", "ece_ew", *FAST_FLAGS,
         ])
         assert rc == 0
@@ -98,7 +98,7 @@ class TestTrain:
         model = tmp_path / "ts.hcal"
         rc = main([
             "train", str(train_path), str(model),
-            "--loss", "brier", "--family", "ensemble_temp", "--m", "1",
+            "--loss", "brier", "--family", "ensemble_temp", "--size", "1",
             "--selector-metric", "ece_ew", "--max-epochs", "60",
         ])
         assert rc == 0
@@ -113,7 +113,7 @@ class TestTrain:
         model = tmp_path / "m.hcal"
         rc = main([
             "train", str(train_path), str(model),
-            "--family", "ensemble_temp", "--m", "1",
+            "--family", "ensemble_temp", "--size", "1",
             "--epsilon", "0.9",  # dead zone: loss identically zero
             "--selector-metric", "ece_ew", "--max-epochs", "5", "--window", "50",
         ])
@@ -164,7 +164,7 @@ class TestEval:
         model = tmp_path / "id.hcal"
         main([
             "train", str(train_path), str(model),
-            "--family", "ensemble_temp", "--m", "1",
+            "--family", "ensemble_temp", "--size", "1",
             "--selector-metric", "ece_ew", "--max-epochs", "0",
         ])
         capsys.readouterr()  # drop the train output
@@ -219,7 +219,7 @@ class TestEval:
         model = tmp_path / "m4.hcal"
         main([
             "train", str(train_path), str(model),
-            "--family", "ensemble_temp", "--m", "1",
+            "--family", "ensemble_temp", "--size", "1",
             "--selector-metric", "ece_ew", "--max-epochs", "0",
         ])
         other = tmp_path / "six.csv"
@@ -315,7 +315,7 @@ class TestDiagram:
         model = tmp_path / "cal.hcal"
         main([
             "train", str(train_path), str(model),
-            "--loss", "nll", "--family", "ensemble_temp", "--m", "1",
+            "--loss", "nll", "--family", "ensemble_temp", "--size", "1",
             "--selector-metric", "ece_ew", "--monitor-metric", "nll",
             "--max-epochs", "300",
         ])
@@ -353,7 +353,7 @@ class TestCompare:
         rc = main([
             "compare", str(train_path), str(test_path),
             "--calibrators", "uncal,hcal,nll_ts",
-            "--family", "ensemble_temp", "--m", "4",
+            "--family", "ensemble_temp", "--size", "4",
             "--selector-metric", "ece_ew",
             "--metrics", "ece_ew",
             *FAST_FLAGS,
@@ -366,7 +366,7 @@ class TestCompare:
         rc = main([
             "compare", str(train_path), str(test_path),
             "--calibrators", "uncal,hcal",
-            "--family", "ensemble_temp", "--m", "4",
+            "--family", "ensemble_temp", "--size", "4",
             "--selector-metric", "ece_ew",
             "--metrics", "ece_ew", "--out", str(out),
             *FAST_FLAGS,
@@ -399,12 +399,31 @@ class TestCompare:
         assert "window 60000 exceeds the 1600 atomic events" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("calibrators", ["uncal,nll_ts", "brier_ts", "uncal,hcal"])
+    def test_class_count_mismatch_rejected_before_any_calibrator_trains(
+            self, small_task, calibrators, tmp_path, monkeypatch, capsys):
+        train_path, _ = small_task  # 4 classes
+        other = tmp_path / "five.csv"
+        task = make_overconfident_task(n_train=10, n_test=60, n_classes=5, seed=1)
+        save_dataset(task.test, other)
+        calls = []
+        for owner in (cli, optim):
+            monkeypatch.setattr(owner, "train_one", lambda *a, **k: calls.append(a))
+        rc = main(["compare", str(train_path), str(other), "--calibrators", calibrators,
+                   "--metrics", "ece_ew"])
+        assert rc == 1
+        assert (f"class-count mismatch: {train_path} has 4 classes, {other} has 5"
+                in capsys.readouterr().err)
+        assert calls == []
+        # plain softmax reads only the test set
+        assert main(["compare", str(train_path), str(other), "--calibrators", "uncal",
+                     "--metrics", "ece_ew"]) == 0
+
 
 # a valid value of each key only the hcal calibrator reads
 HCAL_ONLY = {"loss": "brier", "epsilon": "0.5", "window": "50", "multiplier": "10",
              "clusters": "4", "norm": "squared", "weighting": "uniform",
-             "selector_metric": "ece_ew", "family": "monotonic_net", "m": "2", "z": "3",
-             "groups": "3", "units": "2"}
+             "selector_metric": "ece_ew", "family": "monotonic_net", "size": "3x2"}
 
 # a valid value of each key only trained calibrators read, hcal or scaling
 TRAINER_ONLY = {"seed": "4", "lr": "0.1", "max_epochs": "5", "scheduler_patience": "3",
@@ -493,7 +512,7 @@ class TestConfigFile:
             "window = 30\n"
             "epsilon = 0.25\n"
             "family = ensemble_temp\n"
-            "m = 1\n"
+            "size = 1\n"
             "max_epochs = 3\n"
             "selector_metric = ece_ew\n",
             encoding="utf-8",
@@ -605,7 +624,7 @@ class TestOptionSources:
             "seed", "loss", "epsilon", "window", "multiplier", "clusters", "norm",
             "weighting", "lr", "max_epochs", "scheduler_patience", "scheduler_factor",
             "early_stop_patience", "batch_size", "monitor_metric", "selector_metric",
-            "family", "m", "z", "groups", "units", "bins", "metrics",
+            "family", "size", "bins", "metrics",
         }
 
     def test_readme_lists_exactly_the_accepted_keys(self, tmp_path):
@@ -643,59 +662,65 @@ class TestOptionSources:
 
     def test_config_value_types_follow_the_annotations(self, tmp_path):
         conf = tmp_path / "t.conf"
-        conf.write_text("batch_size = 64\nepsilon = 1\nm = 4\nmonitor_metric = nll\n",
+        conf.write_text("batch_size = 64\nepsilon = 1\nsize = 4\nmonitor_metric = nll\n",
                         encoding="utf-8")
         assert read_config_file(conf) == {
-            "batch_size": 64, "epsilon": 1.0, "m": 4, "monitor_metric": "nll"
+            "batch_size": 64, "epsilon": 1.0, "size": "4", "monitor_metric": "nll"
         }
         assert type(read_config_file(conf)["epsilon"]) is float
 
 
-class TestSizeFlags:
+class TestSizeFlag:
     def test_family_grid(self):
         assert RunConfig().family_grid() == standard_grid()
         assert RunConfig(family="piecewise_linear").family_grid() == [
             ("piecewise_linear", z) for z in (1, 10, 100, 500)
         ]
-        assert RunConfig(family="ensemble_temp", m=4).family_grid() == [("ensemble_temp", 4)]
-        # a missing monotonic_net size copies the given one
-        assert RunConfig(family="monotonic_net", groups=3).family_grid() == [
-            ("monotonic_net", (3, 3))
-        ]
-        assert RunConfig(family="monotonic_net", units=5).family_grid() == [
-            ("monotonic_net", (5, 5))
-        ]
-        assert RunConfig(family="monotonic_net", groups=2, units=7).family_grid() == [
+        assert RunConfig(family="ensemble_temp", size="4").family_grid() == [("ensemble_temp", 4)]
+        assert RunConfig(family="monotonic_net", size="2x7").family_grid() == [
             ("monotonic_net", (2, 7))
         ]
 
-    def test_size_without_family_rejected(self, tmp_path, capsys):
-        rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal"), "--m", "4"])
+    def test_size_reads_the_notation_train_prints(self, small_task, tmp_path, capsys):
+        train_path, _ = small_task
+        model = tmp_path / "net.hcal"
+        assert main(["train", str(train_path), str(model), "--family", "monotonic_net",
+                     "--size", "3x2", "--selector-metric", "ece_ew", "--max-epochs", "2"]) == 0
+        assert "  monotonic_net 3x2: selector = " in capsys.readouterr().out
+        assert "hyper = 3x2" in (tmp_path / "net.hcal.meta.txt").read_text(encoding="utf-8")
+        assert load_map(model).describe() == "monotonic_net(groups=3, units=2)"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_size_without_family_rejected(self, source, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("size = 4\n", encoding="utf-8")
+        given = ["--size", "4"] if source == "flag" else ["--config", str(conf)]
+        rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal"), *given])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "--m" in err and "--family ensemble_temp" in err
+        assert "--size 4 needs --family" in err
         assert "nope.csv" not in err  # rejected before the dataset loads
 
-    def test_size_of_another_family_rejected(self, tmp_path, capsys):
-        rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal"),
-                   "--family", "ensemble_temp", "--groups", "3"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("family, size, takes", [
+        ("ensemble_temp", "4x4", "m"),  # one size too many
+        ("monotonic_net", "10", "groups x units"),  # one too few
+        ("piecewise_linear", "1.5", "z"),
+        ("piecewise_linear", "0", "z"),
+        ("monotonic_net", "2x-3", "groups x units"),
+        ("monotonic_net", "2X3", "groups x units"),
+        ("ensemble_temp", " 4", "m"),
+        ("ensemble_temp", "", "m"),
+    ])
+    def test_size_that_does_not_fit_rejected_before_loading(self, command, family, size,
+                                                           takes, tmp_path, capsys):
+        rc = main([command, *missing_inputs(command, tmp_path), "--family", family,
+                   "--size", size])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "--groups" in err and "monotonic_net" in err and "nope.csv" not in err
-
-    def test_compare_rejects_before_loading(self, tmp_path, capsys):
-        rc = main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
-                   "--family", "piecewise_linear", "--m", "16"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "--m" in err and "a.csv" not in err
-
-    def test_config_file_size_without_family_rejected(self, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("units = 4\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="--units"):
-            parsed("--config", str(conf)).family_grid()
-
+        assert (f"--size {size!r} does not fit {family}, which takes {takes}: "
+                f"a positive integer per size, joined by x") in err
+        assert "nope" not in err
 
 class TestBinsFlag:
     @pytest.mark.parametrize("command", ["eval", "diagram"])
@@ -784,7 +809,7 @@ class TestLineEndings:
         train_path, test_path = small_task
         model = tmp_path / "m.hcal"
         assert main(["train", str(train_path), str(model), "--family", "ensemble_temp",
-                     "--m", "1", "--selector-metric", "ece_ew", "--max-epochs", "3"]) == 0
+                     "--size", "1", "--selector-metric", "ece_ew", "--max-epochs", "3"]) == 0
         assert main(["eval", str(model), str(test_path), "--metrics", "ece_ew,ks",
                      "--out", str(tmp_path / "eval.csv")]) == 0
         assert main(["diagram", str(model), str(test_path), str(tmp_path / "d.svg"),
@@ -843,7 +868,7 @@ COMMAND_OPTIONS = {
               "--epsilon", "--window", "--multiplier", "--clusters", "--norm", "--weighting",
               "--lr", "--max-epochs", "--scheduler-patience", "--scheduler-factor",
               "--early-stop-patience", "--batch-size", "--monitor-metric", "--selector-metric",
-              "--family", "--m", "--z", "--groups", "--units", "--verbose"],
+              "--family", "--size", "--verbose"],
     "eval": ["--help", "model_path", "test_path", "--config", "--metrics", "--bins", "--out"],
     "diagram": ["--help", "model_path", "test_path", "out_svg", "--config", "--bins", "--out"],
 }

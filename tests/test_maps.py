@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 import threading
+import warnings
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -21,6 +22,7 @@ from hcal.loss import HCalConfig, brier_loss, hcal_loss
 from hcal.maps import FAMILIES as MAP_FAMILIES
 from hcal.maps import (
     _MEMBER_BLOCK,
+    CalibrationMap,
     EnsembleTempMap,
     MonotonicNetMap,
     PiecewiseLinearMap,
@@ -137,19 +139,6 @@ class TestForward:
             sorted_probs = np.take_along_axis(probs, order, axis=1)
             assert np.all(np.diff(sorted_probs, axis=1) >= -1e-15)
 
-    # numpy's overflow warnings would raise here: the forward's own check is
-    # the one report of a blown-up parameter
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("family, hyper, index, value", [
-        ("ensemble_temp", 2, 0, -1000.0),  # T = 0
-        ("piecewise_linear", 4, 0, 1000.0),  # an infinite slope
-    ])  # monotonic_net: TestMonotonicNetForward::test_non_finite_parameters_raise
-    def test_blow_up_raises_without_numpy_warnings(self, family, hyper, index, value, rng):
-        cal_map = init_map(family, hyper)
-        cal_map.params[index] = value
-        with pytest.raises(FloatingPointError, match="non-finite probabilities"):
-            cal_map.forward(rng.normal(0, 3, (30, 4)))
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_temperature_is_uniform_without_warnings(self, rng):
         cal_map = EnsembleTempMap(2, params=np.array([1000.0, 1000.0, 0.0, 0.0]))
@@ -168,12 +157,6 @@ class TestBackward:
             assert pgrad.dtype == np.float64
             assert pgrad.shape == (cal_map.n_params,)
             assert np.all(pgrad == 0)
-
-    def test_shape_mismatch_rejected(self, rng):
-        cal_map = random_map("ensemble_temp", 2, rng)
-        trace = cal_map.forward(rng.normal(0, 1, (5, 3)))
-        with pytest.raises(ValueError, match="shape"):
-            cal_map.backward(trace, np.zeros((4, 3)))
 
     @pytest.mark.parametrize("family,hyper", FAMILIES)
     def test_param_grad_matches_fd_through_brier(self, family, hyper, rng):
@@ -203,6 +186,72 @@ def assert_grad_matches_fd(cal_map, logits, labels, h=1e-5):
     scale = max(np.abs(fd).max(), np.abs(pgrad).max(), 1e-8)
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(pgrad)), 1e-6 * scale)
     assert np.max(np.abs(fd - pgrad) / denom) < 1e-4
+
+
+# a first raw parameter that blows each family's forward up
+BLOW_UP = {
+    "ensemble_temp": -1000.0,  # T = 0
+    "piecewise_linear": 1000.0,  # an infinite slope
+    "monotonic_net": 1000.0,  # an infinite slope; 0 * inf at x = 0 is NaN
+}
+
+
+@pytest.mark.parametrize("family", sorted(MAP_FAMILIES))
+class TestContract:
+    """What the base class's forward and backward promise for every family."""
+
+    def test_forward_converts_to_float64(self, family, rng):
+        cal_map = random_map(family, MAP_FAMILIES[family].grid[0], rng)
+        logits = rng.normal(0, 2, (6, 4))
+        trace = cal_map.forward(logits.astype(np.float32))
+        assert trace.logits.dtype == trace.probs.dtype == np.float64
+        assert np.array_equal(trace.logits, logits.astype(np.float32))
+        assert cal_map.forward(np.array([[1, 0, 2]])).probs.dtype == np.float64
+
+    # numpy's overflow warnings would raise here: the forward's own check is
+    # the one report of a blown-up parameter
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blow_up_raises_without_numpy_warnings(self, family, rng):
+        cal_map = init_map(family, MAP_FAMILIES[family].grid[0])
+        cal_map.params[0] = BLOW_UP[family]
+        with pytest.raises(FloatingPointError, match="non-finite probabilities"):
+            cal_map.forward(rng.normal(0, 3, (30, 4)))
+
+    def test_upstream_shape_mismatch_rejected(self, family, rng):
+        cal_map = random_map(family, MAP_FAMILIES[family].grid[0], rng)
+        trace = cal_map.forward(rng.normal(0, 1, (5, 3)))
+        for shape in [(4, 3), (5, 4), (15,)]:
+            with pytest.raises(ValueError, match="upstream shape"):
+                cal_map.backward(trace, np.zeros(shape))
+
+    def test_pinned_class_count(self, family, rng):
+        cal_map = init_map(family, MAP_FAMILIES[family].grid[0])
+        cal_map.forward(rng.normal(0, 1, (5, 3)))  # unpinned: any width
+        cal_map.n_classes = 4
+        cal_map.forward(rng.normal(0, 1, (5, 4)))
+        with pytest.raises(ValueError, match=rf"class-count mismatch: {family}\(.*\) was "
+                                             r"trained with 4 classes, the logits have 3"):
+            cal_map.forward(rng.normal(0, 1, (5, 3)))
+
+    def test_every_grid_size_round_trips(self, family, tmp_path, rng):
+        cls = MAP_FAMILIES[family]
+        logits = rng.normal(0, 2, (6, 5))
+        for hyper in cls.grid:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # on the grid: no off-grid warning
+                cal_map = random_map(family, hyper, rng)
+            assert isinstance(cal_map, cls)
+            cal_map.n_classes = 5
+            save_map(cal_map, tmp_path / "m.hcal")
+            loaded = load_map(tmp_path / "m.hcal")
+            assert (type(loaded), loaded.hyper(), loaded.n_classes) == (cls, cal_map.hyper(), 5)
+            assert np.array_equal(loaded.params, cal_map.params)
+            assert np.array_equal(loaded.forward(logits).probs, cal_map.forward(logits).probs)
+
+    def test_forward_and_backward_are_the_base_class_ones(self, family):
+        cls = MAP_FAMILIES[family]
+        assert cls.forward is CalibrationMap.forward
+        assert cls.backward is CalibrationMap.backward
 
 
 class TestSerialization:

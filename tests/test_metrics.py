@@ -380,8 +380,9 @@ class TestKdeEce:
             oracles.naive_kde_ece(probs, labels), rel=1e-10, abs=1e-15
         )
 
-    def test_workspace_grid_blocks(self):
-        # N=1e4: a (block, N) kernel array at a time, not a (1024, N) one
+    def test_workspace_grid_blocks(self, monkeypatch):
+        # N=1e4: a (block, N) kernel array per worker, not a (1024, N) one
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
         gen = np.random.default_rng(0)
         n = 10_000
         probs = gen.dirichlet(np.ones(10), size=n)
@@ -602,10 +603,12 @@ def pairwise_instances():
         yield scale_instance(n, n_classes), None
 
 
-@pytest.mark.parametrize("metric, block", [(skce, "_SKCE_BLOCK"), (dkde_ce, "_DKDE_BLOCK")])
-def test_pairwise_worker_count_changes_nothing(metric, block, monkeypatch):
-    """skce and dkde_ce run their row blocks on ``dataset._WORKERS`` threads,
-    including inputs with fewer blocks than workers; no count changes a bit."""
+@pytest.mark.parametrize("metric, block", [(skce, "_SKCE_BLOCK"), (dkde_ce, "_DKDE_BLOCK"),
+                                           (kde_ece, "_KDE_BLOCK")])
+def test_blocked_worker_count_changes_nothing(metric, block, monkeypatch):
+    """skce and dkde_ce run their row blocks, and kde_ece its grid blocks, on
+    ``dataset._WORKERS`` threads, including inputs with fewer blocks than
+    workers; no count changes a bit."""
     for (probs, labels), size in pairwise_instances():
         if size is not None:
             monkeypatch.setattr(metrics_mod, block, size)

@@ -19,14 +19,16 @@ import numpy as np
 from .dataset import LogitDataset, load_dataset, softmax_rows, write_csv
 from .diagram import render_reliability_svg
 from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
-from .maps import FAMILIES, EnsembleTempMap, load_map, save_map
+from .maps import FAMILIES, EnsembleTempMap, check_sizes, load_map, save_map, size_text
 from .metrics import (DEFAULT_BINS, METRICS, MetricReport, _check_bins, evaluate,
                       reliability_data)
 from .optim import TrainConfig, check_trainable, standard_grid, select_model, train_one
 
 
 _LOSS_KEYS = {f.name for f in fields(HCalConfig)}
-_COMPARE_CALIBRATORS = ("uncal", "hcal", "nll_ts", "brier_ts")
+# each calibrator compare offers, with the loss a single-temperature scaling
+# baseline trains (None: not a scaling baseline)
+_COMPARE_CALIBRATORS = {"uncal": None, "hcal": None, "nll_ts": "nll", "brier_ts": "brier"}
 # the keys only the hcal calibrator reads (the baselines fix loss and family)
 _HCAL_KEYS = {"loss", "selector_metric", "family", "size", *_LOSS_KEYS}
 
@@ -42,7 +44,7 @@ class RunConfig:
 
     loss: str = "hcal"
     family: str | None = None  # None = the standard grid
-    size: str | None = None  # the family's sizes joined by "x"; None = its grid
+    size: str | None = None  # the family's sizes as maps.size_text; None = its grid
     bins: int | None = None  # None = each metric's documented default
     metrics: str | None = None  # comma-separated ids; None = full suite
     overrides: dict = field(default_factory=dict)
@@ -74,8 +76,7 @@ class RunConfig:
     def family_grid(self) -> list[tuple]:
         """The (family, hyper) candidates: the standard grid without a
         family, the family's ``grid`` without a size, else the one
-        ``size``: a positive integer per ``hyper_names`` entry, joined by
-        ``x`` (``16``, ``10x10``)."""
+        ``size``, checked by :func:`maps.check_sizes`."""
         if self.family is None:
             if self.size is not None:
                 raise ValueError(f"--size {self.size} needs --family "
@@ -86,11 +87,10 @@ class RunConfig:
         cls = FAMILIES[self.family]
         if self.size is None:
             return [(self.family, h) for h in cls.grid]
-        sizes = tuple(int(p) if p.isascii() and p.isdigit() else 0 for p in self.size.split("x"))
-        if len(sizes) != len(cls.hyper_names) or min(sizes) < 1:
-            raise ValueError(f"--size {self.size!r} does not fit {self.family}, which takes "
-                             f"{' x '.join(cls.hyper_names)}: a positive integer per size, "
-                             f"joined by x")
+        try:
+            sizes = check_sizes(cls, self.size)
+        except ValueError as exc:
+            raise ValueError(f"--size {exc}") from None
         return [(self.family, sizes if len(sizes) > 1 else sizes[0])]
 
     def metric_ids(self) -> list[str] | None:
@@ -252,8 +252,7 @@ def cmd_train(args: argparse.Namespace) -> int:
           f"(N={train_ds.n_samples}, L={train_ds.n_classes})")
     for rep in reports:
         status = "FAILED" if rep.failed else f"{rep.selector_value:.6g}"
-        hyper = "x".join(str(h) for h in rep.hyper)
-        print(f"  {rep.family} {hyper}: selector = {status}, epochs = {rep.epochs_run}")
+        print(f"  {rep.family} {size_text(rep.hyper)}: selector = {status}, epochs = {rep.epochs_run}")
     print(f"best: {best.describe()} -> {args.model_path}")
     print(f"history: {history_path}")
     return 0
@@ -300,7 +299,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                          f"classes, {args.test_path} has {test_ds.n_classes}")
     if "hcal" in names:  # before any calibrator uses compute
         check_trainable(train_ds, loss_spec, train_cfg)
-    elif any(name.endswith("_ts") for name in names):  # scaling reads no window or selector
+    elif any(_COMPARE_CALIBRATORS[name] for name in names):  # scaling reads no window or selector
         check_trainable(train_ds, "nll", train_cfg, selects=False)
 
     reports: dict[str, MetricReport] = {}
@@ -311,9 +310,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             continue
         if name == "hcal":
             best, _, _ = select_model(train_ds, grid, loss_spec, train_cfg)
-        else:  # nll_ts, brier_ts: single-temperature scaling with that loss
+        else:  # single-temperature scaling with the table's loss
             ts_map = EnsembleTempMap(1, seed=train_cfg.seed)
-            best, _ = train_one(ts_map, train_ds, name[:-3], train_cfg)
+            best, _ = train_one(ts_map, train_ds, _COMPARE_CALIBRATORS[name], train_cfg)
         reports[name] = evaluate(best.forward(test_ds.logits).probs, test_ds.labels, metric_ids)
 
     rows = []

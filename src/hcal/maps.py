@@ -24,7 +24,6 @@ post-hoc recalibration the logits are fixed.
 from __future__ import annotations
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -65,19 +64,24 @@ class CalibrationMap:
     Each family declares its name, the fixed ``family_id`` written into
     model files, ``hyper_names``, the constructor's size arguments in
     order, and ``grid``, its standard sizes; :data:`FAMILIES` collects the
-    classes.  It implements ``_forward(logits) -> (probs, cache)`` and
-    ``_backward(trace, upstream)``; the checks all share are made here.
-    """
+    classes.  It implements ``_param_count()``, ``_forward(logits) -> (probs,
+    cache)`` and ``_backward(trace, upstream)``, and ``_initial_params(seed)``
+    if its start is not all zeros; the checks all share are made here.  A
+    loaded map's ``seed`` is None: the model file does not store it."""
 
     family: str
     family_id: int
     hyper_names: tuple[str, ...]
     grid: tuple
 
-    def __init__(self, params: np.ndarray, size: int, seed: int, n_classes: int = 0):
-        params = np.asarray(params, dtype=np.float64)
-        if params.size != size:
-            raise ValueError(f"{self.describe()} needs {size} params, got {params.size}")
+    def __init__(self, *sizes: int, seed: int | None = 0, params: np.ndarray | None = None,
+                 n_classes: int = 0):
+        for name, size in zip(self.hyper_names, check_sizes(type(self), sizes)):
+            setattr(self, name, size)
+        params = self._initial_params(seed) if params is None else np.asarray(params, np.float64)
+        if params.size != self._param_count():
+            raise ValueError(f"{self.describe()} needs {self._param_count()} params, "
+                             f"got {params.size}")
         finite = np.isfinite(params)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -87,14 +91,21 @@ class CalibrationMap:
         self.seed = seed
         self.n_classes = n_classes  # 0 = not pinned to a class count yet
 
+    def _initial_params(self, seed: int | None) -> np.ndarray:
+        return np.zeros(self._param_count())
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """One size per ``hyper_names`` entry."""
+        return tuple(getattr(self, name) for name in self.hyper_names)
+
     @property
     def n_params(self) -> int:
         return self.params.size
 
     def hyper(self) -> tuple[int, int]:
         """The sizes as stored in a model file: two slots, 0 when unused."""
-        sizes = tuple(getattr(self, name) for name in self.hyper_names)
-        return (sizes + (0,))[:2]
+        return (self.sizes + (0,))[:2]
 
     def describe(self) -> str:
         sizes = ", ".join(f"{name}={getattr(self, name)}" for name in self.hyper_names)
@@ -142,12 +153,8 @@ class EnsembleTempMap(CalibrationMap):
     hyper_names = ("m",)
     grid = (16, 32, 64, 128)
 
-    def __init__(self, m: int, seed: int = 0, params: np.ndarray | None = None, n_classes: int = 0):
-        if m < 1:
-            raise ValueError(f"need at least one temperature component, got m={m}")
-        self.m = m
-        # default T_k = 1, uniform weights: identity softmax
-        super().__init__(np.zeros(2 * m) if params is None else params, 2 * m, seed, n_classes)
+    def _param_count(self):
+        return 2 * self.m  # the zero start: T_k = 1, uniform weights, identity softmax
 
     def _unpack(self):
         raw_t = self.params[: self.m]
@@ -237,13 +244,12 @@ class PiecewiseLinearMap(ScalarTransformMap):
     hyper_names = ("z",)
     grid = (1, 10, 100, 500)
 
-    def __init__(self, z: int, seed: int = 0, params: np.ndarray | None = None, n_classes: int = 0):
-        if z < 1:
-            raise ValueError(f"need at least one segment, got z={z}")
-        self.z = z
-        self.seg_width = PIECEWISE_RANGE / z
-        # default unit slopes: identity on [-100, 0]
-        super().__init__(np.zeros(z) if params is None else params, z, seed, n_classes)
+    def _param_count(self):
+        return self.z  # the zero start: unit slopes, identity on [-100, 0]
+
+    @property
+    def seg_width(self) -> float:
+        return PIECEWISE_RANGE / self.z
 
     def _transform(self, x):
         slopes = np.exp(self.params)
@@ -286,26 +292,16 @@ class MonotonicNetMap(ScalarTransformMap):
     hyper_names = ("groups", "units")
     grid = ((2, 2), (10, 10), (20, 20), (50, 50))
 
-    def __init__(
-        self,
-        groups: int,
-        units: int,
-        seed: int = 0,
-        params: np.ndarray | None = None,
-        n_classes: int = 0,
-    ):
-        if groups < 1 or units < 1:
-            raise ValueError(f"need >=1 groups and units, got ({groups}, {units})")
-        self.groups = groups
-        self.units = units
-        n = groups * units
-        if params is None:
-            rng = np.random.default_rng(seed)
-            slot = PIECEWISE_RANGE / units
-            centers = -PIECEWISE_RANGE + (np.arange(units) + 0.5) * slot
-            biases = np.tile(centers, groups) + rng.uniform(-0.25 * slot, 0.25 * slot, n)
-            params = np.concatenate([np.zeros(n), biases])
-        super().__init__(params, 2 * n, seed, n_classes)
+    def _param_count(self):
+        return 2 * self.groups * self.units
+
+    def _initial_params(self, seed):
+        n = self.groups * self.units
+        rng = np.random.default_rng(seed)
+        slot = PIECEWISE_RANGE / self.units
+        centers = -PIECEWISE_RANGE + (np.arange(self.units) + 0.5) * slot
+        biases = np.tile(centers, self.groups) + rng.uniform(-0.25 * slot, 0.25 * slot, n)
+        return np.concatenate([np.zeros(n), biases])
 
     def _unpack(self):
         n = self.groups * self.units
@@ -399,29 +395,32 @@ FAMILIES: dict[str, type[CalibrationMap]] = {
 ``--size``, and each map's ``hyper()`` and ``describe()``."""
 
 
-def hyper_tuple(hyper) -> tuple:
-    """A candidate's sizes as a tuple: ``16`` -> ``(16,)``, ``(2, 3)`` as is."""
-    return tuple(hyper) if isinstance(hyper, (tuple, list)) else (hyper,)
+def size_text(sizes) -> str:
+    """Sizes (an int, a tuple, or text as is) in their one notation, ``16`` or
+    ``10x10``: ``hcal train`` prints it, ``--size`` takes it, the sidecar stores it."""
+    return "x".join(map(str, sizes)) if isinstance(sizes, tuple) else str(sizes)
+
+
+def check_sizes(cls: type[CalibrationMap], sizes) -> tuple[int, ...]:
+    """The size rule: one positive integer per ``cls.hyper_names`` entry, given
+    as an int, a tuple or their :func:`size_text`.  Returns the tuple."""
+    text = size_text(sizes)
+    checked = tuple(int(p) if p.isascii() and p.isdigit() else 0 for p in text.split("x"))
+    if len(checked) != len(cls.hyper_names) or min(checked) < 1:
+        raise ValueError(f"{text!r} does not fit {cls.family}, which takes "
+                         f"{' x '.join(cls.hyper_names)}: a positive integer per size, "
+                         f"joined by x")
+    return checked
 
 
 def init_map(family: str, hyper, seed: int = 0) -> CalibrationMap:
-    """Create a near-identity map of the given family.
-
-    ``hyper`` holds one size per ``hyper_names`` entry, an int for one and a
-    tuple for more, as in the family's ``grid``.  Off-grid sizes are allowed
-    but flagged with a warning.
-    """
+    """Create a near-identity map of the given family.  ``hyper`` holds its
+    sizes (see :func:`check_sizes`), such as one entry of the family's
+    ``grid``; any sizes that fit the rule are allowed."""
     if family not in FAMILIES:
         raise ValueError(f"unknown mapping family {family!r}")
     cls = FAMILIES[family]
-    sizes = tuple(int(h) for h in hyper_tuple(hyper))
-    if len(sizes) != len(cls.hyper_names):
-        names = ", ".join(cls.hyper_names)
-        raise ValueError(f"{family} takes the sizes ({names}), got {hyper!r}")
-    if (sizes if len(sizes) > 1 else sizes[0]) not in cls.grid:
-        warnings.warn(f"{family} hyper {hyper!r} is outside the standard grid {cls.grid}",
-                      stacklevel=2)
-    return cls(*sizes, seed=seed)
+    return cls(*check_sizes(cls, hyper), seed=seed)
 
 
 def save_map(m: CalibrationMap, path: str | Path) -> None:
@@ -433,8 +432,8 @@ def save_map(m: CalibrationMap, path: str | Path) -> None:
     sidecar = path.with_name(path.name + ".meta.txt")
     lines = [
         f"family = {m.family}",
-        f"hyper = {h[0]}" if h[1] == 0 else f"hyper = {h[0]}x{h[1]}",
-        f"seed = {m.seed}",
+        f"hyper = {size_text(m.sizes)}",
+        *([] if m.seed is None else [f"seed = {m.seed}"]),
         f"n_classes = {m.n_classes}",
         f"n_params = {m.n_params}",
     ]
@@ -458,7 +457,8 @@ def load_map(path: str | Path) -> CalibrationMap:
         raise ValueError(f"{path}: unknown family id {fam_id}")
     params = np.frombuffer(raw, dtype="<f8", offset=_MAP_HEADER.size).copy()
     try:
-        return cls(*(h0, h1)[:len(cls.hyper_names)], params=params, n_classes=n_classes)
+        # the inverse of hyper(): an unused slot is 0
+        return cls(*(h0, h1) if h1 else (h0,), seed=None, params=params, n_classes=n_classes)
     except ValueError as exc:  # the family's checks of its sizes and parameters
         raise ValueError(f"{path}: {exc}") from None
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .dataset import LogitDataset, softmax_rows, write_csv
 from .loss import LossOutput, resolve_loss
-from .maps import FAMILIES, CalibrationMap, hyper_tuple, init_map
+from .maps import FAMILIES, CalibrationMap, init_map, size_text
 from .metrics import get_metric
 
 ADAM_BETA1 = 0.9
@@ -203,7 +203,7 @@ def train_one(
 @dataclass
 class CandidateReport:
     family: str
-    hyper: tuple
+    hyper: tuple  # one size per hyper_names entry
     selector_value: float
     epochs_run: int
     best_epoch: int
@@ -237,15 +237,15 @@ def select_model(
                 probs = trained.forward(train.logits).probs
             value = float(selector(probs, train.labels))
         except TrainingDivergedError:
-            reports.append(CandidateReport(family, hyper_tuple(hyper), float("inf"),
+            reports.append(CandidateReport(family, candidate.sizes, float("inf"),
                                            0, -1, 0.0, failed=True))
             continue
         reports.append(CandidateReport(
-            family, hyper_tuple(hyper), value,
+            family, candidate.sizes, value,
             len(history.records), history.best_epoch, history.wall_time,
         ))
         if log_fn is not None:
-            log_fn(f"candidate {family} {hyper}: {cfg.selector_metric} = {value:.6g}")
+            log_fn(f"candidate {family} {size_text(candidate.sizes)}: {cfg.selector_metric} = {value:.6g}")
         if best is None or value < best[0]:
             best = (value, trained, history)
     if best is None:

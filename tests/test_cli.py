@@ -122,8 +122,7 @@ class TestTrain:
         np.testing.assert_array_equal(loaded.params, np.zeros(2))
 
     def test_verbose_logs_each_epoch_and_candidate_to_stderr(self, small_task, tmp_path, capsys):
-        # piecewise_linear alone is the on-grid z in (1, 10, 100, 500): no
-        # off-grid warning on stderr
+        # stderr holds only the epoch and candidate lines
         train_path, _ = small_task
         argv = ["train", str(train_path), str(tmp_path / "m.hcal"), "--family",
                 "piecewise_linear", "--selector-metric", "ece_ew", "--max-epochs", "5",
@@ -385,6 +384,15 @@ class TestCompare:
         ])
         assert rc == 1
         assert "magic" in capsys.readouterr().err
+
+    def test_scaling_baselines_train_the_loss_the_table_names(self, small_task, monkeypatch):
+        losses = []
+        real = cli.train_one
+        monkeypatch.setattr(cli, "train_one",
+                            lambda m, ds, spec, cfg: losses.append(spec) or real(m, ds, spec, cfg))
+        assert main(["compare", *map(str, small_task), "--calibrators", "brier_ts,nll_ts",
+                     "--max-epochs", "1", "--metrics", "ece_ew"]) == 0
+        assert losses == ["brier", "nll"]
 
     def test_untrainable_hcal_rejected_before_any_calibrator_trains(self, small_task,
                                                                     monkeypatch, capsys):
@@ -689,6 +697,18 @@ class TestSizeFlag:
         assert "  monotonic_net 3x2: selector = " in capsys.readouterr().out
         assert "hyper = 3x2" in (tmp_path / "net.hcal.meta.txt").read_text(encoding="utf-8")
         assert load_map(model).describe() == "monotonic_net(groups=3, units=2)"
+
+    def test_verbose_summary_and_sidecar_show_one_notation(self, small_task, tmp_path,
+                                                           capsys):
+        train_path, _ = small_task
+        model = tmp_path / "net.hcal"
+        assert main(["train", str(train_path), str(model), "--family", "monotonic_net",
+                     "--size", "2x2", "--max-epochs", "2", "--window", "50", "--verbose"]) == 0
+        out, err = capsys.readouterr()
+        assert re.search(r"^candidate monotonic_net 2x2: dece = \S+$", err, re.MULTILINE)
+        assert re.search(r"^  monotonic_net 2x2: selector = ", out, re.MULTILINE)
+        sidecar = (tmp_path / "net.hcal.meta.txt").read_text(encoding="utf-8")
+        assert "hyper = 2x2\n" in sidecar
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_size_without_family_rejected(self, source, tmp_path, capsys):

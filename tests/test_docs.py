@@ -1,15 +1,21 @@
 """Every ``hcal ...`` command the documentation shows still parses, and its
 options pass the checks the CLI makes before any data loads, so a renamed
-option cannot leave a dead example behind."""
+option cannot leave a dead example behind.  README's defaults are the
+dataclasses' own, and its library example runs."""
 
 import ast
 import re
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from hcal.cli import build_parser, merge_config
+from hcal.dataset import save_dataset
+from hcal.loss import HCalConfig
+from hcal.optim import TrainConfig
+from hcal.synthetic import make_overconfident_task
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +48,32 @@ def test_documented_command_passes_the_option_checks(line):
     cfg.loss_spec()
     cfg.train_config()
     cfg.metric_ids()
+
+
+def readme_section(title: str) -> str:
+    """The text of README's section ``title``, up to the next heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"^#+ {title}\n(.*?)(?=^#)", readme + "\n#", re.M | re.S).group(1)
+
+
+def test_documented_defaults_are_the_dataclass_defaults():
+    pairs = re.findall(r"`(\w+) = ([^`]+)`", readme_section("Defaults"))
+    defaults = {**asdict(HCalConfig()), **asdict(TrainConfig())}
+    assert {name for name, _ in pairs} == set(defaults)
+    for name, text in pairs:
+        try:
+            value = ast.literal_eval(text)
+        except ValueError:  # a bare name such as ece_ew
+            value = text
+        assert value == defaults[name], (name, text)
+
+
+def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme_section("Library use"), re.M | re.S)
+    task = make_overconfident_task(n_train=300, n_test=200, n_classes=4, seed=0)
+    (tmp_path / "data" / "synth").mkdir(parents=True)
+    save_dataset(task.train, tmp_path / "data" / "synth" / "train.csv")
+    save_dataset(task.test, tmp_path / "data" / "synth" / "test.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert re.search(r"^ece_ew +\d", capsys.readouterr().out, re.M)

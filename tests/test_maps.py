@@ -26,9 +26,11 @@ from hcal.maps import (
     EnsembleTempMap,
     MonotonicNetMap,
     PiecewiseLinearMap,
+    check_sizes,
     init_map,
     load_map,
     save_map,
+    size_text,
 )
 
 FAMILIES = [
@@ -63,18 +65,37 @@ class TestInit:
         with pytest.raises(ValueError):
             MonotonicNetMap(0, 5)
 
-    @pytest.mark.parametrize("family,hyper,names", [
-        ("monotonic_net", 10, "(groups, units)"),
-        ("ensemble_temp", (16, 2), "(m)"),
-        ("piecewise_linear", (), "(z)"),
+    @pytest.mark.parametrize("family,hyper,text,names", [
+        ("monotonic_net", 10, "10", "groups x units"),
+        ("ensemble_temp", (16, 2), "16x2", "m"),
+        ("piecewise_linear", (), "", "z"),
     ])
-    def test_wrong_number_of_sizes_rejected(self, family, hyper, names):
-        with pytest.raises(ValueError, match=re.escape(f"{family} takes the sizes {names}")):
+    def test_wrong_number_of_sizes_rejected(self, family, hyper, text, names):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{text!r} does not fit {family}, which takes {names}: a positive integer "
+                f"per size, joined by x")):
             init_map(family, hyper, seed=0)
 
-    def test_off_grid_hyper_warns(self):
-        with pytest.warns(UserWarning, match="outside the standard grid"):
-            init_map("ensemble_temp", 7, seed=0)
+    def test_one_size_rule_for_every_caller(self):
+        # init_map, the constructor and the text form meet the same check
+        message = "'2x0' does not fit monotonic_net, which takes groups x units"
+        for make in (lambda: init_map("monotonic_net", (2, 0)), lambda: MonotonicNetMap(2, 0),
+                     lambda: init_map("monotonic_net", "2x0")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
+        assert check_sizes(MonotonicNetMap, "10x3") == check_sizes(MonotonicNetMap, (10, 3))
+        assert check_sizes(EnsembleTempMap, 16) == check_sizes(EnsembleTempMap, "16") == (16,)
+
+    @pytest.mark.parametrize("sizes,text", [(16, "16"), ((16,), "16"), ((10, 3), "10x3")])
+    def test_size_text(self, sizes, text):
+        assert size_text(sizes) == text
+
+    def test_off_grid_sizes_build_without_a_warning(self):
+        # the grid is the default search set, not a rule of validity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert init_map("ensemble_temp", 7, seed=0).m == 7
+            assert init_map("monotonic_net", (3, 2), seed=0).sizes == (3, 2)
 
     @pytest.mark.parametrize("family,hyper", FAMILIES)
     def test_identity_at_init(self, family, hyper, rng):
@@ -237,9 +258,7 @@ class TestContract:
         cls = MAP_FAMILIES[family]
         logits = rng.normal(0, 2, (6, 5))
         for hyper in cls.grid:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # on the grid: no off-grid warning
-                cal_map = random_map(family, hyper, rng)
+            cal_map = random_map(family, hyper, rng)
             assert isinstance(cal_map, cls)
             cal_map.n_classes = 5
             save_map(cal_map, tmp_path / "m.hcal")
@@ -252,6 +271,14 @@ class TestContract:
         cls = MAP_FAMILIES[family]
         assert cls.forward is CalibrationMap.forward
         assert cls.backward is CalibrationMap.backward
+
+    def test_one_constructor(self, family):
+        # a family supplies its parameter count and start, not an __init__
+        cls = MAP_FAMILIES[family]
+        assert "__init__" not in vars(cls)
+        cal_map = cls(*check_sizes(cls, cls.grid[0]), seed=3, n_classes=4)
+        assert (cal_map.sizes, cal_map.seed, cal_map.n_classes) == (
+            check_sizes(cls, cls.grid[0]), 3, 4)
 
 
 class TestSerialization:
@@ -273,7 +300,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("sidecar", ["latin-1", "directory"])
     def test_load_reads_only_the_map_file(self, tmp_path, sidecar):
-        # a loaded map keeps the constructor's seed, whatever the sidecar holds
+        # the model file has no seed slot: a loaded map's seed is unknown,
+        # whatever the sidecar holds
         cal_map = init_map("ensemble_temp", 2, seed=41)
         cal_map.params[:] = [0.5, -0.25, 0.125, 1.0]
         path = tmp_path / "m.hcal"
@@ -285,8 +313,19 @@ class TestSerialization:
         else:
             side.write_bytes("note = caf\xe9\nseed = 41\n".encode("latin-1"))
         loaded = load_map(path)
-        assert loaded.seed == 0
+        assert loaded.seed is None
         np.testing.assert_array_equal(loaded.params, cal_map.params)
+
+    def test_resaved_map_claims_no_seed(self, tmp_path):
+        cal_map = init_map("monotonic_net", (2, 3), seed=7)
+        cal_map.n_classes = 4
+        save_map(cal_map, tmp_path / "a.hcal")
+        save_map(load_map(tmp_path / "a.hcal"), tmp_path / "b.hcal")
+        assert (tmp_path / "a.hcal").read_bytes() == (tmp_path / "b.hcal").read_bytes()
+        first = (tmp_path / "a.hcal.meta.txt").read_text(encoding="utf-8").splitlines()
+        again = (tmp_path / "b.hcal.meta.txt").read_text(encoding="utf-8").splitlines()
+        assert "seed = 7" in first
+        assert again == [line for line in first if line != "seed = 7"]
 
     def test_sidecar_written(self, tmp_path):
         cal_map = init_map("ensemble_temp", 2, seed=41)
@@ -362,6 +401,19 @@ class TestModelFormat:
         path.write_bytes(struct.pack("<4sIIIIII", b"HMAP", 1, 0, 16, 0, 0, 10) + bytes(80))
         with pytest.raises(ValueError, match=r"m\.hcal: ensemble_temp\(m=16\) needs 32 params, "
                                              r"got 10"):
+            load_map(path)
+
+    @pytest.mark.parametrize("family,h0,h1,text,takes", [
+        ("ensemble_temp", 16, 3, "16x3", "m"),  # a one-size family with its second slot used
+        ("monotonic_net", 2, 0, "2", "groups x units"),
+        ("piecewise_linear", 0, 0, "0", "z"),
+    ])
+    def test_header_sizes_meet_the_size_rule(self, tmp_path, family, h0, h1, text, takes):
+        path = tmp_path / "m.hcal"
+        fam_id = MAP_FAMILIES[family].family_id
+        path.write_bytes(struct.pack("<4sIIIIII", b"HMAP", 1, fam_id, h0, h1, 0, 0))
+        with pytest.raises(ValueError, match=re.escape(
+                f"m.hcal: {text!r} does not fit {family}, which takes {takes}")):
             load_map(path)
 
     def test_unknown_family_id_rejected(self, tmp_path):

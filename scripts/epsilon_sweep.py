@@ -2,7 +2,8 @@
 """Sweep the error-bound hyperparameter and report final test calibration.
 
 Trains the window objective at several epsilon values on the synthetic
-overconfidence task and prints the resulting test-set ECE (equal width).
+overconfidence task, in parallel processes, and prints the resulting
+test-set ECE (equal width) in the order the epsilons are given.
 The small-epsilon runs should agree closely; pushing epsilon to 1e-1 relaxes
 the constraint enough that calibration degrades.
 """
@@ -10,7 +11,7 @@ the constraint enough that calibration degrades.
 import argparse
 import time
 
-from hcal.dataset import softmax_rows
+from hcal.dataset import forked, softmax_rows
 from hcal.loss import HCalConfig
 from hcal.maps import init_map
 from hcal.metrics import ece_ew
@@ -34,8 +35,8 @@ def main() -> None:
     print(f"uncalibrated test ECEew: {uncal:.5f} "
           f"(N_train={task.train.n_samples}, N_test={task.test.n_samples})")
     cfg = TrainConfig(seed=args.seed)
-    for eps_text in args.epsilons.split(","):
-        eps = float(eps_text)
+
+    def sweep(eps):
         start = time.time()
         cal_map, history = train_one(
             init_map("ensemble_temp", args.m, seed=args.seed),
@@ -44,10 +45,12 @@ def main() -> None:
             cfg,
         )
         value = ece_ew(cal_map.forward(task.test.logits).probs, task.test.labels)
-        print(
-            f"epsilon {eps:8.0e}: test ECEew {value:.5f} "
-            f"({len(history.records)} epochs, {time.time() - start:.0f}s)"
-        )
+        return value, len(history.records), time.time() - start
+
+    # the epsilons train in parallel processes; the lines keep their order
+    epsilons = [float(eps_text) for eps_text in args.epsilons.split(",")]
+    for eps, (value, epochs, seconds) in zip(epsilons, forked(sweep, epsilons)):
+        print(f"epsilon {eps:8.0e}: test ECEew {value:.5f} ({epochs} epochs, {seconds:.0f}s)")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LogitDataset, softmax_rows, write_csv
+from .dataset import LogitDataset, forked, softmax_rows, write_csv
 from .loss import LossOutput, resolve_loss
 from .maps import FAMILIES, CalibrationMap, init_map, size_text
 from .metrics import get_metric
@@ -99,8 +99,9 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = -1  # index into records; -1 when no epoch ran
     wall_time: float = 0.0
-    # the monitor forward's probabilities at the returned parameters (the
-    # same array, not a copy); None when no epoch was best
+    # train_one's monitor forward probabilities at the returned parameters
+    # (the same array, not a copy); None when no epoch was best, and always
+    # None on the history select_model returns
     best_probs: np.ndarray | None = field(default=None, repr=False)
 
     def to_csv(self, path) -> None:
@@ -221,31 +222,55 @@ def select_model(
     """Train every (family, hyper) candidate; return the one minimizing the
     selector metric on the training set (ties broken by declaration order).
     The selector scores the best epoch's monitor probabilities; only a
-    candidate without a best epoch takes one more forward."""
+    candidate without a best epoch takes one more forward.
+
+    The candidates train in up to ``dataset._WORKERS`` processes
+    (:func:`hcal.dataset.forked`); every output, and the order of the
+    ``log_fn`` lines, is the same for any count.  The first candidate logs
+    as it trains; with more than one worker the others' lines follow once
+    they are all trained."""
     if not families:
         raise ValueError("need at least one candidate")
     check_trainable(train, loss_cfg, cfg)
     selector = get_metric(cfg.selector_metric)
-    best = None  # (value, map, history)
-    reports: list[CandidateReport] = []
-    for family, hyper in families:
+    logged = 0  # candidates whose lines are out; a child's copy stays below its items
+
+    def fit(i):
+        """Candidate i: (sizes, log lines, (map, history, value) or None if
+        it diverged).  It logs live only while every earlier candidate's
+        lines are out; otherwise its lines wait for select_model."""
+        nonlocal logged
+        family, hyper = families[i]
+        live, lines = logged == i, []
+        log = log_fn if live or log_fn is None else lines.append
         candidate = init_map(family, hyper, seed=cfg.seed)
         try:
-            trained, history = train_one(candidate, train, loss_cfg, cfg, log_fn=log_fn)
+            trained, history = train_one(candidate, train, loss_cfg, cfg, log_fn=log)
             probs = history.best_probs
             if probs is None:
                 probs = trained.forward(train.logits).probs
             value = float(selector(probs, train.labels))
+            history.best_probs = None  # not sent back from a child
+            fitted = (trained, history, value)
+            if log is not None:
+                log(f"candidate {family} {size_text(candidate.sizes)}: "
+                    f"{cfg.selector_metric} = {value:.6g}")
         except TrainingDivergedError:
-            reports.append(CandidateReport(family, candidate.sizes, float("inf"),
-                                           0, -1, 0.0, failed=True))
+            fitted = None
+        logged += live
+        return candidate.sizes, lines, fitted
+
+    best = None  # (value, map, history)
+    reports: list[CandidateReport] = []
+    for (family, _), (sizes, lines, fitted) in zip(families, forked(fit, range(len(families)))):
+        for line in lines:
+            log_fn(line)
+        if fitted is None:
+            reports.append(CandidateReport(family, sizes, float("inf"), 0, -1, 0.0, failed=True))
             continue
-        reports.append(CandidateReport(
-            family, candidate.sizes, value,
-            len(history.records), history.best_epoch, history.wall_time,
-        ))
-        if log_fn is not None:
-            log_fn(f"candidate {family} {size_text(candidate.sizes)}: {cfg.selector_metric} = {value:.6g}")
+        trained, history, value = fitted
+        reports.append(CandidateReport(family, sizes, value, len(history.records),
+                                       history.best_epoch, history.wall_time))
         if best is None or value < best[0]:
             best = (value, trained, history)
     if best is None:

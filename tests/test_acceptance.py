@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hcal.dataset import load_dataset, softmax_rows
+from hcal.dataset import forked, load_dataset, softmax_rows
 from hcal.loss import (
     HCalConfig,
     brier_loss,
@@ -237,20 +237,21 @@ def synthetic_task():
 
 @pytest.fixture(scope="module")
 def trained_by_epsilon(synthetic_task):
-    """Window-loss trainings at each epsilon, standard defaults otherwise."""
-    models = {}
-    wall = {}
+    """Window-loss trainings at each epsilon, standard defaults otherwise;
+    they are independent, so they train in parallel processes."""
     cfg = TrainConfig(seed=0)
-    for eps in EPSILONS:
-        start = time.perf_counter()
-        cal_map, _ = train_one(
+
+    def fit(eps):
+        return train_one(
             init_map("ensemble_temp", 16, seed=0),
             synthetic_task.train,
             HCalConfig(epsilon=eps),
             cfg,
         )
-        models[eps] = cal_map
-        wall[eps] = time.perf_counter() - start
+
+    models, wall = {}, {}
+    for eps, (cal_map, history) in zip(EPSILONS, forked(fit, EPSILONS)):
+        models[eps], wall[eps] = cal_map, history.wall_time
     return models, wall
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hcal import cli, optim
+from hcal import cli, dataset, optim
 from hcal.cli import (
     COMMAND_KEYS,
     CONFIG_KEYS,
@@ -155,6 +155,33 @@ class TestTrain:
         rc = main(["train", str(tmp_path / "nope.csv"), str(tmp_path / "m.hcal")])
         assert rc == 1
         assert "nope.csv" in capsys.readouterr().err
+
+
+class TestWorkerCounts:
+    def session(self, small_task, root, capsys):
+        """The streams and files of a verbose default-grid train and a compare."""
+        train_path, test_path = small_task
+        model, report = root / "m.hcal", root / "cmp.csv"
+        assert main(["train", str(train_path), str(model), "--max-epochs", "3",
+                     "--window", "50", "--verbose"]) == 0
+        train_streams = capsys.readouterr()
+        assert main(["compare", str(train_path), str(test_path), "--calibrators",
+                     "uncal,hcal,nll_ts", "--max-epochs", "3", "--window", "50",
+                     "--metrics", "ece_ew,dece", "--out", str(report)]) == 0
+        compare_streams = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+        assert sorted(files) == ["cmp.csv", "m.hcal", "m.hcal.history.csv", "m.hcal.meta.txt"]
+        return train_streams, compare_streams, files
+
+    def test_outputs_are_byte_identical_for_any_worker_count(self, small_task, tmp_path,
+                                                             monkeypatch, capsys):
+        sessions = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dataset, "_WORKERS", workers)
+            sessions.append(self.session(small_task, tmp_path, capsys))
+        lines = sessions[0][0].err.splitlines()
+        assert sum(line.startswith("candidate ") for line in lines) == 12
+        assert sessions[1] == sessions[0] and sessions[2] == sessions[0]
 
 
 class TestEval:

@@ -3,6 +3,7 @@ import os
 import re
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hcal.dataset import (
     LogitDataset,
     blockwise,
     check_prob_matrix,
+    forked,
     load_dataset,
     save_dataset,
     softmax_rows,
@@ -329,6 +331,97 @@ class TestBlockwise:
     def test_worker_count_is_the_processs_cpus_capped(self):
         assert 1 <= dataset._WORKERS <= dataset._MAX_WORKERS == 4
         assert dataset._WORKERS == min(len(os.sched_getaffinity(0)), 4)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestForked:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 3, 7])
+    def test_results_in_item_order(self, workers, n_items, monkeypatch):
+        # fewer items than workers included; the pids show who ran each item
+        monkeypatch.setattr(dataset, "_WORKERS", workers)
+        out = forked(lambda x: (x * x, os.getpid(), dataset._WORKERS), range(n_items))
+        assert [square for square, _, _ in out] == [x * x for x in range(n_items)]
+        pids = [pid for _, pid, _ in out]
+        w = max(1, min(workers, n_items))
+        assert len(set(pids)) == min(w, n_items)
+        assert all(pids[i] == pids[i % w] for i in range(n_items))
+        assert pids[:1] == [os.getpid()][:n_items]  # the caller takes share 0
+        # every worker ran its items on one thread; the caller's count is back
+        assert all(blocks == (workers if w < 2 else 1) for _, _, blocks in out)
+        assert dataset._WORKERS == workers
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_items_run_the_blas_on_one_thread(self, workers, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", workers)
+        before = dataset._set_blas_threads(2)
+        if before is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread call")
+        try:
+            assert forked(lambda x: dataset._set_blas_threads(1), range(3)) == [1, 1, 1]
+            assert dataset._set_blas_threads(2) == 2  # the caller's count is back
+        finally:
+            dataset._set_blas_threads(before)
+
+    def test_one_item_never_forks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 4)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for one item"))
+        assert forked(lambda x: x + 1, [41]) == [42]
+
+    @pytest.mark.parametrize("bad", [0, 1, 4])  # the caller's share, then a child's
+    def test_an_items_error_reaches_the_caller(self, bad, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 3)
+
+        def item(x):
+            if x == bad:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match=f"^item {bad}$"):
+            forked(item, range(6))
+        assert dataset._WORKERS == 3
+        assert_no_child_left()
+
+    def test_a_child_that_dies_is_reported(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        parent = os.getpid()
+
+        def item(x):
+            if os.getpid() != parent:
+                os._exit(7)
+            return x
+
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            forked(item, range(2))
+        assert_no_child_left()
+
+    def test_an_unpicklable_result_is_reported(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="results cannot be pickled"):
+            forked(lambda x: (lambda: x), range(2))
+        assert_no_child_left()
+
+    def test_an_interrupt_stops_and_waits_for_the_children(self, monkeypatch):
+        # the caller's share is interrupted while a child is still busy
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        parent = os.getpid()
+
+        def item(x):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            forked(item, range(2))
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
 
 
 class TestSplitDataset:

@@ -1,6 +1,10 @@
+import os
+import pickle
+
 import numpy as np
 import pytest
 
+from hcal import dataset, optim
 from hcal.dataset import softmax_rows
 from hcal.loss import HCalConfig
 from hcal.maps import EnsembleTempMap, init_map
@@ -291,6 +295,7 @@ class TestSelectModel:
         forward = EnsembleTempMap.forward
         monkeypatch.setattr(EnsembleTempMap, "forward",
                             lambda self, logits: calls.append(1) or forward(self, logits))
+        monkeypatch.setattr(dataset, "_WORKERS", 1)  # a child's calls are not counted here
         task, _ = make_calibrated_task(n=256, seed=10)
         cfg = TrainConfig(seed=0, max_epochs=epochs, early_stop_patience=epochs + 1,
                           selector_metric="ece_ew")
@@ -309,6 +314,65 @@ class TestSelectModel:
             HCalConfig(), TrainConfig(max_epochs=3, lr=1000.0),
         )
         assert [r.failed for r in reports] == [True, False]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_any_worker_count_selects_the_same(self, workers, monkeypatch):
+        # each candidate trains in its own process slot; every output but
+        # the wall times is the one-process run's, byte for byte
+        task = make_overconfident_task(n_train=300, n_test=10, n_classes=5, seed=6)
+        grid = [("ensemble_temp", 2), ("piecewise_linear", 3), ("monotonic_net", (2, 2)),
+                ("ensemble_temp", 1), ("piecewise_linear", 10)]
+        cfg = TrainConfig(seed=1, max_epochs=4, selector_metric="ece_ew")
+
+        def run():
+            log = []
+            best, history, reports = select_model(task.train, grid, HCalConfig(window=50), cfg,
+                                                  log_fn=log.append)
+            assert history.best_probs is None and history.wall_time > 0
+            history.wall_time = 0.0
+            for rep in reports:
+                rep.wall_time = 0.0
+            return pickle.dumps((best.family, best.sizes, best.params, history, reports, log))
+
+        monkeypatch.setattr(dataset, "_WORKERS", 1)
+        alone = run()
+        monkeypatch.setattr(dataset, "_WORKERS", workers)
+        assert run() == alone
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failed_candidate_keeps_its_slot(self, workers, monkeypatch):
+        # candidate 1 runs in a child for two or more workers
+        monkeypatch.setattr(dataset, "_WORKERS", workers)
+        task = make_overconfident_task(n_train=500, n_test=10, n_classes=10, seed=0)
+        grid = [("ensemble_temp", 16), ("monotonic_net", (2, 2)), ("ensemble_temp", 2)]
+        log = []
+        _, _, reports = select_model(task.train, grid, HCalConfig(),
+                                     TrainConfig(max_epochs=3, lr=1000.0), log_fn=log.append)
+        assert [r.failed for r in reports] == [False, True, False]
+        assert reports[1] == CandidateReport("monotonic_net", (2, 2), float("inf"), 0, -1, 0.0,
+                                             failed=True)
+        assert [line for line in log if line.startswith("candidate")] == [
+            f"candidate ensemble_temp {r.hyper[0]}: dece = {r.selector_value:.6g}"
+            for r in (reports[0], reports[2])]
+
+    @pytest.mark.parametrize("workers,after", [(1, [1, 2, 3]), (2, [1, 2, 2])])
+    def test_lines_are_logged_once_their_turn_comes(self, workers, after, monkeypatch):
+        # one process logs every candidate as it trains; with two, candidate
+        # 0 logs as it trains and candidate 1, trained in a child, once this
+        # process has trained candidate 2 as well
+        monkeypatch.setattr(dataset, "_WORKERS", workers)
+        started = []
+        real = optim.train_one
+        monkeypatch.setattr(optim, "train_one", lambda *a, **k: started.append(1) or real(*a, **k))
+        task, _ = make_calibrated_task(n=200, seed=11)
+        seen = []
+        select_model(task, [("ensemble_temp", 1), ("ensemble_temp", 2), ("ensemble_temp", 3)],
+                     "brier", TrainConfig(max_epochs=2, selector_metric="ece_ew"),
+                     log_fn=lambda line: seen.append((len(started), line)))
+        assert [line.split()[0] for _, line in seen] == ["epoch", "epoch", "candidate"] * 3
+        assert [n for n, _ in seen] == [n for n in after for _ in range(3)]
 
     def test_short_tail_batch_rejected_before_training(self):
         # 1010 samples in batches of 100 leave a 10-sample tail batch: 50

@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .dataset import LogitDataset, load_dataset, softmax_rows, write_csv
+from .dataset import LogitDataset, check_integer, load_dataset, softmax_rows, write_csv
 from .diagram import render_reliability_svg
 from .loss import BASELINE_LOSSES, LOSSES, NORMS, WEIGHTINGS, HCalConfig
-from .maps import FAMILIES, EnsembleTempMap, check_sizes, load_map, save_map, size_text
-from .metrics import (DEFAULT_BINS, METRICS, MetricReport, _check_bins, evaluate,
-                      reliability_data)
-from .optim import TrainConfig, check_trainable, standard_grid, select_model, train_one
+from .maps import FAMILIES, check_sizes, load_map, save_map, size_text
+from .metrics import DEFAULT_BINS, METRICS, evaluate, reliability_data
+from .optim import TrainConfig, check_trainable, standard_grid, select_model
 
 
 _LOSS_KEYS = {f.name for f in fields(HCalConfig)}
@@ -51,7 +50,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.bins is not None:
-            _check_bins(self.bins)  # the rule evaluate applies, before any data loads
+            check_integer("bins", self.bins, 1)  # evaluate's rule, before any data loads
 
     def loss_spec(self):
         """The loss: an :class:`HCalConfig` for ``hcal``, else its name.  A
@@ -292,27 +291,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # options are checked before any data loads
     grid, loss_spec, train_cfg = cfg.family_grid(), cfg.loss_spec(), cfg.train_config()
     metric_ids = cfg.metric_ids() or list(METRICS)
+    # select_model's arguments; a scaling baseline is one candidate, selected by its monitor
+    scaling_cfg = replace(train_cfg, selector_metric=train_cfg.monitor_metric)
+    fits = {name: (grid, loss_spec, train_cfg) if name == "hcal" else
+            ([("ensemble_temp", 1)], _COMPARE_CALIBRATORS[name], scaling_cfg)
+            for name in names if name != "uncal"}
     train_ds = load_dataset(args.train_path)
     test_ds = load_dataset(args.test_path)
-    if set(names) - {"uncal"} and train_ds.n_classes != test_ds.n_classes:
+    if fits and train_ds.n_classes != test_ds.n_classes:
         raise ValueError(f"class-count mismatch: {args.train_path} has {train_ds.n_classes} "
                          f"classes, {args.test_path} has {test_ds.n_classes}")
-    if "hcal" in names:  # before any calibrator uses compute
-        check_trainable(train_ds, loss_spec, train_cfg)
-    elif any(_COMPARE_CALIBRATORS[name] for name in names):  # scaling reads no window or selector
-        check_trainable(train_ds, "nll", train_cfg, selects=False)
+    for _, loss, fit_cfg in fits.values():  # before any calibrator uses compute
+        check_trainable(train_ds, loss, fit_cfg)
 
-    reports: dict[str, MetricReport] = {}
     uncal_report = evaluate(softmax_rows(test_ds.logits), test_ds.labels, metric_ids)
-    for name in names:
-        if name == "uncal":
-            reports[name] = uncal_report
-            continue
-        if name == "hcal":
-            best, _, _ = select_model(train_ds, grid, loss_spec, train_cfg)
-        else:  # single-temperature scaling with the table's loss
-            ts_map = EnsembleTempMap(1, seed=train_cfg.seed)
-            best, _ = train_one(ts_map, train_ds, _COMPARE_CALIBRATORS[name], train_cfg)
+    reports = {"uncal": uncal_report}
+    for name, fit in fits.items():
+        best, _, _ = select_model(train_ds, *fit)
         reports[name] = evaluate(best.forward(test_ds.logits).probs, test_ds.labels, metric_ids)
 
     rows = []

@@ -84,6 +84,15 @@ def check_labels(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
+def check_integer(name: str, value, least: int) -> None:
+    """The rule of every whole-number setting: ``value`` must be an int or a
+    numpy integer (never a bool) and at least ``least``; raises naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def check_prob_matrix(probs: np.ndarray) -> None:
     """Validate a row-stochastic probability matrix, within ``PROB_ATOL``;
     raises on violation."""
@@ -153,7 +162,9 @@ def blockwise(fn, starts) -> list:
     blocks w, w + W, ... under the caller's ``np.errstate`` (threads do not
     inherit it).  The blocks must be independent; results come back in block
     order, so a kernel that combines them in that order is the same for any
-    worker count."""
+    worker count.  While two or more workers run, numpy's OpenBLAS runs on
+    one thread, and the caller's count is back after; the count is the
+    process's, so hcal calls made at once from several threads share it."""
     starts = list(starts)
     workers = min(_WORKERS, len(starts))
     if workers < 2:
@@ -165,9 +176,12 @@ def blockwise(fn, starts) -> list:
     def share(w):
         with np.errstate(**errors):
             return [fn(s) for s in starts[w::workers]]
-    out = [None] * len(starts)
-    for w, results in enumerate(_pool[0].map(share, range(workers))):
-        out[w::workers] = results
+    out, blas = [None] * len(starts), _set_blas_threads(1)
+    try:
+        for w, results in enumerate(_pool[0].map(share, range(workers))):
+            out[w::workers] = results
+    finally:
+        _set_blas_threads(blas)
     return out
 
 
@@ -178,9 +192,9 @@ def forked(fn, items) -> list:
     the caller takes items 0, W, ... meanwhile, and every worker runs its
     blocks on one thread, so no more than ``_WORKERS`` threads are busy.
     Without ``os.fork``, or with one worker, the items run here in order.
-    numpy's OpenBLAS runs on one thread throughout: its thread count moves
-    a fit's last bits, and a BLAS thread per core beside each worker made a
-    12-candidate grid a third slower than one process.
+    As in ``blockwise``, numpy's OpenBLAS runs on one thread, here for the
+    whole call: its count moves a fit's last bits, and a BLAS thread per
+    core beside each worker made a 12-candidate grid a third slower.
 
     The items must be independent, and their results picklable; results
     come back in item order.  An item's error is raised here with its type
@@ -222,8 +236,7 @@ def forked(fn, items) -> list:
         return out
     finally:
         _WORKERS = saved
-        if blas is not None:
-            _set_blas_threads(blas)
+        _set_blas_threads(blas)
         for fh in reads:
             fh.close()
         for pid in pids:  # a child whose result was read is leaving anyway
@@ -254,10 +267,12 @@ def _child(fn, items, write) -> None:
         os._exit(code)  # skips the parent's atexit handlers and buffered output
 
 
-def _set_blas_threads(n: int) -> int | None:
-    """Give numpy's OpenBLAS ``n`` threads; returns how many it had, or None
-    when numpy's BLAS exports none of OpenBLAS's thread calls (it then keeps
-    its own count)."""
+def _set_blas_threads(n: int | None) -> int | None:
+    """Give numpy's OpenBLAS ``n`` threads and return how many it had; return
+    None, and change nothing, when ``n`` is None or numpy's BLAS exports none
+    of OpenBLAS's thread calls (it then keeps its own count)."""
+    if n is None:
+        return None
     import ctypes
 
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # sees the BLAS it links

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_labels, one_hot, stable_argsort
+from .dataset import check_integer, check_labels, one_hot, stable_argsort
 
 KMEANS_MAX_ITER = 100
 NORMS = ("abs", "squared")
@@ -47,12 +47,10 @@ class HCalConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        check_integer("window", self.window, 1)
         if not 0 < self.multiplier < np.inf:
             raise ValueError(f"multiplier must be finite and > 0, got {self.multiplier}")
-        if self.clusters < 1:
-            raise ValueError(f"clusters must be >= 1, got {self.clusters}")
+        check_integer("clusters", self.clusters, 1)
         for name, allowed in (("norm", NORMS), ("weighting", WEIGHTINGS)):
             value = getattr(self, name)
             if value not in allowed:

@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import loss as loss_mod
-from .dataset import (blockwise, check_labels, check_prob_matrix, one_hot, stable_argsort,
-                      write_csv)
+from .dataset import (blockwise, check_integer, check_labels, check_prob_matrix, one_hot,
+                      stable_argsort, write_csv)
 from .loss import kmeans_1d
 
 DEFAULT_BINS = 15
@@ -106,13 +106,6 @@ def _bin_sums(values: np.ndarray, targets: np.ndarray, idx: np.ndarray, bins: in
     return tuple(np.bincount(idx, weights=w, minlength=bins) for w in (None, values, targets))
 
 
-def _check_bins(bins: int) -> None:
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)):
-        raise ValueError(f"bins must be an integer, got {bins!r}")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-
-
 @dataclass
 class BinStats:
     """Per-bin reliability statistics for the top-label prediction."""
@@ -163,7 +156,7 @@ def reliability_data(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_
 def _top_label_sums(probs: np.ndarray, labels: np.ndarray, equal_mass: bool, bins: int) -> tuple:
     """Top-label (confidence, correctness), sorted by confidence for equal
     mass, and their per-bin (count, sum of confidences, sum of correctness)."""
-    _check_bins(bins)
+    check_integer("bins", bins, 1)
     x = _checked(probs, labels)
     if equal_mass:
         conf, correct = x.ranked
@@ -219,7 +212,7 @@ def dece(probs: np.ndarray, labels: np.ndarray, bins: int = DEFAULT_BINS) -> flo
     gap, floors the weighted total at zero, and takes the square root.  Every
     bin must contain at least 2 samples.
     """
-    _check_bins(bins)
+    check_integer("bins", bins, 1)
     x = _checked(probs, labels)
     n = x.shape[0]
     if n // bins < 2:  # the smallest equal-mass bin holds n // bins samples
@@ -359,7 +352,7 @@ def _classwise(probs, labels, bins: int, r: int, thresholded: bool, kmeans: bool
     retained, or with ``thresholded`` only those above 1/L.  Bins are
     ``bins`` equal-width bins, or with ``kmeans`` the 1-D k-means clusters
     of the retained entries (at most one per entry)."""
-    _check_bins(bins)
+    check_integer("bins", bins, 1)
     x = _checked(probs, labels)
     threshold = 1.0 / x.shape[1]
     per_class = []
@@ -565,7 +558,7 @@ def evaluate(
     """
     fns = {mid: get_metric(mid) for mid in (metric_ids if metric_ids is not None else METRICS)}
     if bins is not None:
-        _check_bins(bins)
+        check_integer("bins", bins, 1)
     x = _Input(probs, labels)
     values = {}
     for mid, fn in fns.items():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import LogitDataset, forked, softmax_rows, write_csv
+from .dataset import LogitDataset, check_integer, forked, softmax_rows, write_csv
 from .loss import LossOutput, resolve_loss
 from .maps import FAMILIES, CalibrationMap, init_map, size_text
 from .metrics import get_metric
@@ -40,18 +40,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
+        for option, least in (("max_epochs", 0), ("scheduler_patience", 1),
+                              ("early_stop_patience", 1), ("seed", 0)):
+            check_integer(option, getattr(self, option), least)
+        if self.batch_size is not None:  # None: one full batch
+            check_integer("batch_size", self.batch_size, 1)
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 < self.scheduler_factor < 1:
             raise ValueError("scheduler_factor must be in (0, 1)")
-        if self.scheduler_patience < 1 or self.early_stop_patience < 1:
-            raise ValueError("patiences must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 or None")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for option in ("monitor_metric", "selector_metric"):
             try:
                 get_metric(getattr(self, option))
@@ -278,11 +275,10 @@ def select_model(
     return best[1], best[2], reports
 
 
-def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig, selects: bool = True) -> None:
+def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig) -> None:
     """Reject what would otherwise fail only after a candidate has trained:
-    a window wider than the smallest batch's events, or a monitor metric
-    (with ``selects``, also a selector metric) that cannot score the
-    training set."""
+    a window wider than the smallest batch's events, or a monitor or
+    selector metric that cannot score the training set."""
     n, n_classes = train.n_samples, train.n_classes
     window = getattr(loss_cfg, "window", 0)
     batch = cfg.batch_rows(n)
@@ -294,7 +290,7 @@ def check_trainable(train: LogitDataset, loss_cfg, cfg: TrainConfig, selects: bo
         raise ValueError(f"window {window} exceeds the {rows * n_classes} atomic events of "
                          f"a {rows}-sample batch ({n_classes} classes); use {fix}")
     probe = softmax_rows(train.logits)
-    for option in ("monitor_metric", "selector_metric")[:1 + selects]:
+    for option in ("monitor_metric", "selector_metric"):
         metric = get_metric(getattr(cfg, option))
         try:
             metric(probe, train.labels)

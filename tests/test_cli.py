@@ -414,20 +414,35 @@ class TestCompare:
 
     def test_scaling_baselines_train_the_loss_the_table_names(self, small_task, monkeypatch):
         losses = []
-        real = cli.train_one
-        monkeypatch.setattr(cli, "train_one",
-                            lambda m, ds, spec, cfg: losses.append(spec) or real(m, ds, spec, cfg))
+        real = optim.train_one
+        monkeypatch.setattr(optim, "train_one", lambda m, ds, spec, cfg, log_fn=None:
+                            losses.append(spec) or real(m, ds, spec, cfg, log_fn=log_fn))
         assert main(["compare", *map(str, small_task), "--calibrators", "brier_ts,nll_ts",
                      "--max-epochs", "1", "--metrics", "ece_ew"]) == 0
         assert losses == ["brier", "nll"]
+
+    def test_scaling_baseline_is_the_model_train_saves(self, small_task, tmp_path):
+        # nll_ts is the one-candidate run hcal train makes of the same loss and size
+        train_path, test_path = map(str, small_task)
+        flags = ["--max-epochs", "30", "--seed", "3"]
+        model, out = tmp_path / "ts.hcal", tmp_path / "cmp.csv"
+        assert main(["train", train_path, str(model), "--loss", "nll", "--family",
+                     "ensemble_temp", "--size", "1", *flags]) == 0
+        assert main(["eval", str(model), test_path, "--out", str(tmp_path / "ts.csv")]) == 0
+        assert main(["compare", train_path, test_path, "--calibrators", "uncal,nll_ts",
+                     *flags, "--out", str(out)]) == 0
+        evaluated = read_csv(tmp_path / "ts.csv", ["metric", "value"])
+        compared = [[mid, value] for name, mid, value, _ in
+                    read_csv(out, ["calibrator", "metric", "value", "rel_to_uncal"])
+                    if name == "nll_ts"]
+        assert compared == evaluated and len(evaluated) > 10
 
     def test_untrainable_hcal_rejected_before_any_calibrator_trains(self, small_task,
                                                                     monkeypatch, capsys):
         # the window exceeds the 1600 atomic events of 400 samples x 4 classes;
         # the baselines listed first must not train before that is found
         calls = []
-        for owner in (cli, optim):
-            monkeypatch.setattr(owner, "train_one", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optim, "train_one", lambda *a, **k: calls.append(a))
         rc = main(["compare", *map(str, small_task), "--calibrators", "nll_ts,brier_ts,hcal",
                    "--window", "60000"])
         assert rc == 1
@@ -442,8 +457,7 @@ class TestCompare:
         task = make_overconfident_task(n_train=10, n_test=60, n_classes=5, seed=1)
         save_dataset(task.test, other)
         calls = []
-        for owner in (cli, optim):
-            monkeypatch.setattr(owner, "train_one", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optim, "train_one", lambda *a, **k: calls.append(a))
         rc = main(["compare", str(train_path), str(other), "--calibrators", calibrators,
                    "--metrics", "ece_ew"])
         assert rc == 1
@@ -523,8 +537,8 @@ class TestCompareWithoutHcal:
 
     def test_monitor_checked_before_anything_runs(self, tiny_task, monkeypatch, capsys):
         calls = []
-        for name in ("evaluate", "train_one"):
-            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        for owner, name in ((cli, "evaluate"), (optim, "train_one")):
+            monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
         rc = main(["compare", *tiny_task, "--calibrators", "uncal,nll_ts",
                    "--monitor-metric", "dece"])
         assert rc == 1

@@ -332,6 +332,25 @@ class TestBlockwise:
         assert 1 <= dataset._WORKERS <= dataset._MAX_WORKERS == 4
         assert dataset._WORKERS == min(len(os.sched_getaffinity(0)), 4)
 
+    def test_blocks_run_the_blas_on_one_thread(self, monkeypatch):
+        def count(s):  # the BLAS thread count, left as it was
+            n = dataset._set_blas_threads(1)
+            dataset._set_blas_threads(n)
+            return n
+
+        before = dataset._set_blas_threads(2)
+        if before is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread call")
+        try:
+            monkeypatch.setattr(dataset, "_WORKERS", 2)
+            assert blockwise(lambda s: dataset._set_blas_threads(1), range(4)) == [1, 1, 1, 1]
+            assert dataset._set_blas_threads(2) == 2  # the caller's count is back
+            monkeypatch.setattr(dataset, "_WORKERS", 1)  # one worker leaves it alone
+            assert blockwise(count, range(4)) == [2, 2, 2, 2]
+            assert count(None) == 2
+        finally:
+            dataset._set_blas_threads(before)
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):

@@ -83,6 +83,25 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             TrainConfig(seed=-1)
 
+    # whole-number settings follow the bins rule: an int or numpy integer, never a bool
+    @pytest.mark.parametrize("config, option, value", [
+        (HCalConfig, "window", 50.0), (HCalConfig, "window", True), (HCalConfig, "clusters", 4.0),
+        (TrainConfig, "max_epochs", 2.5), (TrainConfig, "scheduler_patience", 3.0),
+        (TrainConfig, "early_stop_patience", 1.5), (TrainConfig, "batch_size", 64.0),
+        (TrainConfig, "batch_size", False), (TrainConfig, "seed", 1.5)])
+    def test_whole_number_settings_are_integers(self, config, option, value):
+        with pytest.raises(ValueError, match=rf"^{option} must be an integer, got {value!r}$"):
+            config(**{option: value})
+
+    def test_numpy_integers_are_whole_numbers(self):
+        cfg = TrainConfig(max_epochs=np.int64(3), scheduler_patience=np.int32(2),
+                          early_stop_patience=np.uint8(4), batch_size=np.int16(8),
+                          seed=np.int64(1))
+        assert (cfg.max_epochs, cfg.batch_size) == (3, 8)
+        assert HCalConfig(window=np.int64(5), clusters=np.int8(2)).window == 5
+        with pytest.raises(ValueError, match=r"^scheduler_patience must be >= 1, got 0$"):
+            TrainConfig(scheduler_patience=0)
+
 
 class TestTrainOne:
     def test_zero_epochs_returns_initial_map(self):

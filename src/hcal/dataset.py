@@ -13,6 +13,7 @@ means CSV, anything else binary):
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -187,49 +188,48 @@ def blockwise(fn, starts) -> list:
 
 def forked(fn, items) -> list:
     """``[fn(x) for x in items]``, run by up to ``_WORKERS`` processes, the
-    CPUs ``blockwise`` counts.  Worker w > 0 is a forked child that takes
-    items w, w + W, ... and sends its pickled results back over a pipe;
-    the caller takes items 0, W, ... meanwhile, and every worker runs its
-    blocks on one thread, so no more than ``_WORKERS`` threads are busy.
-    Without ``os.fork``, or with one worker, the items run here in order.
-    As in ``blockwise``, numpy's OpenBLAS runs on one thread, here for the
-    whole call: its count moves a fit's last bits, and a BLAS thread per
-    core beside each worker made a 12-candidate grid a third slower.
+    CPUs ``blockwise`` counts.  Worker w > 0 is a fork-context, non-daemonic
+    ``multiprocessing`` child (an item may start processes of its own) that
+    takes items w, w + W, ... and sends its results back through a pipe; the
+    caller takes items 0, W, ... meanwhile, and every worker runs its blocks
+    on one thread, so no more than ``_WORKERS`` threads are busy.  Without
+    ``os.fork``, with one worker, or in a daemonic process such as a ``Pool``
+    worker, which may start none, the items run here in order.  As in
+    ``blockwise``, numpy's OpenBLAS runs on one thread, here for the whole
+    call: its count moves a fit's last bits, and a BLAS thread per core
+    beside each worker made a 12-candidate grid a third slower.
 
     The items must be independent, and their results picklable; results
     come back in item order.  An item's error is raised here with its type
     and message, after every child is stopped.  No child outlives the call:
-    each leaves through ``os._exit``, and is waited for on every way out.
+    each is killed and joined on every way out.
     """
     global _WORKERS
     items = list(items)
     workers = min(_WORKERS, len(items)) if hasattr(os, "fork") else 1
-    pids, reads = [], []  # each child's pid and the read end of its pipe
+    procs, reads = [], []  # each child and the read end of its pipe
     saved, blas = _WORKERS, _set_blas_threads(1)
     try:
-        if workers < 2:
+        if workers > 1:
+            import multiprocessing  # on first use, like the thread pool
+        if workers < 2 or multiprocessing.current_process().daemon:
             return [fn(x) for x in items]
-        import pickle  # on first use, like the thread pool
-        import signal
-
+        context = multiprocessing.get_context("fork")
         _WORKERS = 1  # the children inherit it, and the BLAS setting
         for w in range(1, workers):
-            read, write = os.pipe()
-            reads.append(os.fdopen(read, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(fn, items[w::workers], write)  # does not return
-            finally:
-                os.close(write)
-            pids.append(pid)
+            read, write = context.Pipe(duplex=False)
+            reads.append(read)
+            proc = context.Process(target=_child, args=(fn, items[w::workers], write))
+            with write:  # the child's end, closed here once the child has it
+                proc.start()
+            procs.append(proc)
         out = [None] * len(items)
         out[::workers] = [fn(x) for x in items[::workers]]
-        for w, (pid, fh) in enumerate(zip(pids, reads), 1):
-            data = fh.read()
-            if not data:
-                raise RuntimeError(f"worker process {pid} ended without a result")
-            ok, value = pickle.loads(data)  # bytes our own child wrote
+        for w, (proc, read) in enumerate(zip(procs, reads), 1):
+            try:
+                ok, value = read.recv()  # unpickles what our own child sent
+            except EOFError:
+                raise RuntimeError(f"worker process {proc.pid} ended without a result") from None
             if not ok:
                 raise value
             out[w::workers] = value
@@ -237,42 +237,42 @@ def forked(fn, items) -> list:
     finally:
         _WORKERS = saved
         _set_blas_threads(blas)
-        for fh in reads:
-            fh.close()
-        for pid in pids:  # a child whose result was read is leaving anyway
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for proc in procs:  # a child whose result was read is leaving anyway
+            proc.kill()
+            proc.join()
+        for read in reads:  # after the kills: no child writes to a closed pipe
+            read.close()
 
 
 def _child(fn, items, write) -> None:
-    """A ``forked`` worker: run ``items``, send ``(True, results)`` or
-    ``(False, error)`` to ``write``, and leave."""
-    import pickle
-
-    code = 1
+    """A ``forked`` worker: run ``items`` and send ``(True, results)`` or
+    ``(False, error)`` to ``write``."""
     try:
-        try:
-            payload = (True, [fn(x) for x in items])
-        except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
-            payload = (False, exc)
-        try:
-            data = pickle.dumps(payload)
-        except Exception as exc:
-            data = pickle.dumps((False, RuntimeError(
-                f"a worker's {'results' if payload[0] else 'error'} cannot be pickled: {exc}")))
-        with os.fdopen(write, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)  # skips the parent's atexit handlers and buffered output
+        payload = (True, [fn(x) for x in items])
+    except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
+        payload = (False, exc)
+    try:
+        write.send(payload)
+    except Exception as exc:  # send pickles the whole payload before it writes
+        write.send((False, RuntimeError(
+            f"a worker's {'results' if payload[0] else 'error'} cannot be pickled: {exc}")))
 
 
 def _set_blas_threads(n: int | None) -> int | None:
     """Give numpy's OpenBLAS ``n`` threads and return how many it had; return
     None, and change nothing, when ``n`` is None or numpy's BLAS exports none
     of OpenBLAS's thread calls (it then keeps its own count)."""
-    if n is None:
+    if n is None or (calls := _blas_calls()) is None:
         return None
+    get, put = calls
+    before = get()
+    put(n)
+    return before
+
+
+@functools.cache
+def _blas_calls():
+    """numpy's OpenBLAS ``(get, set)`` thread calls, looked up once, or None."""
     import ctypes
 
     lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # sees the BLAS it links
@@ -282,9 +282,7 @@ def _set_blas_threads(n: int | None) -> int | None:
             get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            before = get()
-            put(n)
-            return before
+            return get, put
     return None
 
 

@@ -1,9 +1,14 @@
+import ctypes
 import math
+import multiprocessing
 import os
 import re
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +356,17 @@ class TestBlockwise:
         finally:
             dataset._set_blas_threads(before)
 
+    def test_blas_calls_are_looked_up_once(self, monkeypatch):
+        loads, cdll = [], ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: loads.append(a) or cdll(*a, **k))
+        before = dataset._set_blas_threads(1)
+        try:
+            for n in (2, 1, 2):
+                dataset._set_blas_threads(n)
+        finally:
+            dataset._set_blas_threads(before)
+        assert len(loads) <= 1
+
 
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
@@ -440,6 +456,38 @@ class TestForked:
         with pytest.raises(KeyboardInterrupt):
             forked(item, range(2))
         assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    def test_a_daemonic_caller_runs_the_items_itself(self, monkeypatch):
+        # a Pool worker is daemonic, and a daemonic process may start none
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(forked, (abs, range(-5, 0))) == [5, 4, 3, 2, 1]
+        assert_no_child_left()
+
+    def test_buffered_output_is_written_once(self):
+        # stdout is a pipe, so block-buffered: no child may write the caller's buffer
+        code = ("from hcal import dataset\n"
+                "dataset._WORKERS = 3\n"
+                "print('before')\n"
+                "print(dataset.forked(abs, [-1, -2, -3]))\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(dataset.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=False)
+        assert (proc.returncode, proc.stdout) == (0, "before\n[1, 2, 3]\n"), proc.stderr
+
+    def test_an_item_may_start_a_process(self, monkeypatch):
+        # the children are not daemonic; the caller's item runs here, the other in a child
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+
+        def item(code):
+            proc = multiprocessing.get_context("fork").Process(target=os._exit, args=(code,))
+            proc.start()
+            proc.join(30)
+            return proc.exitcode
+
+        assert forked(item, [3, 4]) == [3, 4]
         assert_no_child_left()
 
 

@@ -1,7 +1,7 @@
 """Every ``hcal ...`` command the documentation shows still parses, and its
 options pass the checks the CLI makes before any data loads, so a renamed
-option cannot leave a dead example behind.  README's defaults are the
-dataclasses' own, and its library example runs."""
+option cannot leave a dead example behind.  README's defaults, default grid
+and metric ids are the code's own, and its library example runs."""
 
 import ast
 import re
@@ -14,7 +14,9 @@ import pytest
 from hcal.cli import build_parser, merge_config
 from hcal.dataset import save_dataset
 from hcal.loss import HCalConfig
-from hcal.optim import TrainConfig
+from hcal.maps import FAMILIES, check_sizes
+from hcal.metrics import METRICS
+from hcal.optim import TrainConfig, standard_grid
 from hcal.synthetic import make_overconfident_task
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +68,29 @@ def test_documented_defaults_are_the_dataclass_defaults():
         except ValueError:  # a bare name such as ece_ew
             value = text
         assert value == defaults[name], (name, text)
+
+
+def readme_prose() -> str:
+    """README with every run of white space one space, so a sentence can be
+    matched across its line breaks."""
+    return " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+
+
+def test_documented_grid_is_the_standard_grid():
+    count, text = re.search(r"Without `--family`, `train` and `compare` search the full "
+                            r"(\d+)-candidate grid \((.*?)\)\.", readme_prose()).groups()
+    # "widths in {2, ...}" gives every size of a family the one number
+    stated = [(family, (int(n),) * len(FAMILIES[family].hyper_names))
+              for family, sizes in re.findall(r"`(\w+)` \w+ in \{([^}]*)\}", text)
+              for n in sizes.split(", ")]
+    grid = [(family, check_sizes(FAMILIES[family], hyper)) for family, hyper in standard_grid()]
+    assert stated == grid
+    assert int(count) == len(grid)
+
+
+def test_documented_metric_ids_are_the_suite():
+    text = re.search(r"\*\*Metric suite\*\* — (.*?) as reference scores", readme_prose()).group(1)
+    assert re.findall(r"`(\w+)`", text) == list(METRICS)
 
 
 def test_library_use_block_runs(tmp_path, monkeypatch, capsys):

@@ -12,10 +12,12 @@ means CSV, anything else binary):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,104 +151,125 @@ def stable_argsort(values: np.ndarray) -> np.ndarray:
     return np.sort(base + order) - base
 
 
-_MAX_WORKERS = 4  # threads for blockwise, at most
+_MAX_WORKERS = 4  # workers for blockwise and forked, at most
 _WORKERS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1, _MAX_WORKERS)
-_pool: list = []  # the thread pool, made by the first call with two blocks
-if hasattr(os, "register_at_fork"):  # a forked child has none of its threads
-    os.register_at_fork(after_in_child=_pool.clear)
+_lock = threading.Lock()  # guards _WORKERS, _inside and _blas; forked's children make their own
+_inside, _blas = 0, None  # calls in _claim now, and the BLAS count the first one found
+
+
+@contextlib.contextmanager
+def _claim(n: int):
+    """Yield how many workers a call of ``n`` items may use, and hold them
+    and the BLAS count for the call, as ``blockwise`` tells."""
+    global _WORKERS, _inside, _blas
+    with _lock:
+        found, workers = _WORKERS, min(_WORKERS, n)
+        if workers > 1:
+            _WORKERS = 1
+        if _inside == 0:
+            _blas = _set_blas_threads(1)
+        _inside += 1
+    try:
+        yield workers
+    finally:
+        with _lock:
+            if workers > 1:
+                _WORKERS = found
+            _inside -= 1
+            if _inside == 0:
+                _set_blas_threads(_blas)
 
 
 def blockwise(fn, starts) -> list:
-    """``[fn(s) for s in starts]``, run on up to ``_WORKERS`` threads: the
-    CPUs this process may use, at most ``_MAX_WORKERS``.  Worker w takes
-    blocks w, w + W, ... under the caller's ``np.errstate`` (threads do not
-    inherit it).  The blocks must be independent; results come back in block
-    order, so a kernel that combines them in that order is the same for any
-    worker count.  While two or more workers run, numpy's OpenBLAS runs on
-    one thread, and the caller's count is back after; the count is the
-    process's, so hcal calls made at once from several threads share it."""
+    """``[fn(s) for s in starts]`` in strided shares: with W = ``_WORKERS``,
+    the CPUs this process may use (at most ``_MAX_WORKERS``), worker w takes
+    blocks w, w + W, ...  The caller takes share 0; each other share runs on
+    a thread started for this call and joined before it returns or raises,
+    under the caller's ``np.errstate`` (threads do not inherit it).  The
+    blocks must be independent; results come back in block order, so a
+    kernel that combines them in that order is the same for any worker
+    count.  A call with two or more workers holds them: ``_WORKERS`` is 1
+    until it returns, so calls nested in it or made meanwhile by other
+    threads, and children forked meanwhile, run inline.  numpy's OpenBLAS
+    runs on one thread while any call that holds workers, or any ``forked``
+    call, runs; the last one out gives back the count the first one in found."""
     starts = list(starts)
-    workers = min(_WORKERS, len(starts))
-    if workers < 2:
+    if min(_WORKERS, len(starts)) < 2:
         return [fn(s) for s in starts]
-    if not _pool:
-        from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
-        _pool.append(ThreadPoolExecutor(_MAX_WORKERS, thread_name_prefix="hcal-block"))
+    from concurrent.futures import ThreadPoolExecutor  # on first use: it imports logging
     errors = np.geterr()
-    def share(w):
-        with np.errstate(**errors):
-            return [fn(s) for s in starts[w::workers]]
-    out, blas = [None] * len(starts), _set_blas_threads(1)
-    try:
-        for w, results in enumerate(_pool[0].map(share, range(workers))):
+    out = [None] * len(starts)
+    with _claim(len(starts)) as workers, ThreadPoolExecutor(  # a thread per share handed over
+            workers, thread_name_prefix="hcal-block") as threads:
+        def share(w):
+            with np.errstate(**errors):
+                return [fn(s) for s in starts[w::workers]]
+        later = threads.map(share, range(1, workers))
+        out[::workers] = share(0)
+        for w, results in enumerate(later, 1):
             out[w::workers] = results
-    finally:
-        _set_blas_threads(blas)
     return out
 
 
 def forked(fn, items) -> list:
-    """``[fn(x) for x in items]``, run by up to ``_WORKERS`` processes, the
-    CPUs ``blockwise`` counts.  Worker w > 0 is a fork-context, non-daemonic
-    ``multiprocessing`` child (an item may start processes of its own) that
-    takes items w, w + W, ... and sends its results back through a pipe; the
-    caller takes items 0, W, ... meanwhile, and every worker runs its blocks
-    on one thread, so no more than ``_WORKERS`` threads are busy.  Without
-    ``os.fork``, with one worker, or in a daemonic process such as a ``Pool``
-    worker, which may start none, the items run here in order.  As in
-    ``blockwise``, numpy's OpenBLAS runs on one thread, here for the whole
-    call: its count moves a fit's last bits, and a BLAS thread per core
-    beside each worker made a 12-candidate grid a third slower.
+    """``[fn(x) for x in items]``, split into shares as in ``blockwise``;
+    each share w > 0 runs in a fork-context, non-daemonic ``multiprocessing``
+    child (an item may start processes of its own) that sends its results
+    back through a pipe.  Every worker runs its blocks on one thread, so no
+    more than ``_WORKERS`` threads are busy.  Without ``os.fork``, with one
+    worker, or in a daemonic process such as a ``Pool`` worker, which may
+    start none, the items run here in order.  numpy's OpenBLAS runs on one
+    thread for the whole call: its count moves a fit's last bits, and a BLAS
+    thread per core beside each worker made a 12-candidate grid a third
+    slower.
 
     The items must be independent, and their results picklable; results
     come back in item order.  An item's error is raised here with its type
     and message, after every child is stopped.  No child outlives the call:
     each is killed and joined on every way out.
     """
-    global _WORKERS
     items = list(items)
-    workers = min(_WORKERS, len(items)) if hasattr(os, "fork") else 1
     procs, reads = [], []  # each child and the read end of its pipe
-    saved, blas = _WORKERS, _set_blas_threads(1)
-    try:
-        if workers > 1:
-            import multiprocessing  # on first use, like the thread pool
-        if workers < 2 or multiprocessing.current_process().daemon:
-            return [fn(x) for x in items]
-        context = multiprocessing.get_context("fork")
-        _WORKERS = 1  # the children inherit it, and the BLAS setting
-        for w in range(1, workers):
-            read, write = context.Pipe(duplex=False)
-            reads.append(read)
-            proc = context.Process(target=_child, args=(fn, items[w::workers], write))
-            with write:  # the child's end, closed here once the child has it
-                proc.start()
-            procs.append(proc)
-        out = [None] * len(items)
-        out[::workers] = [fn(x) for x in items[::workers]]
-        for w, (proc, read) in enumerate(zip(procs, reads), 1):
-            try:
-                ok, value = read.recv()  # unpickles what our own child sent
-            except EOFError:
-                raise RuntimeError(f"worker process {proc.pid} ended without a result") from None
-            if not ok:
-                raise value
-            out[w::workers] = value
-        return out
-    finally:
-        _WORKERS = saved
-        _set_blas_threads(blas)
-        for proc in procs:  # a child whose result was read is leaving anyway
-            proc.kill()
-            proc.join()
-        for read in reads:  # after the kills: no child writes to a closed pipe
-            read.close()
+    with _claim(len(items) if hasattr(os, "fork") else 1) as workers:
+        try:
+            if workers > 1:
+                import multiprocessing  # on first use, like the block threads' executor
+            if workers < 2 or multiprocessing.current_process().daemon:
+                return [fn(x) for x in items]
+            context = multiprocessing.get_context("fork")
+            for w in range(1, workers):  # the children inherit _WORKERS = 1 and the BLAS count
+                read, write = context.Pipe(duplex=False)
+                reads.append(read)
+                proc = context.Process(target=_child, args=(fn, items[w::workers], write))
+                with write:  # the child's end, closed here once the child has it
+                    proc.start()
+                procs.append(proc)
+            out = [None] * len(items)
+            out[::workers] = [fn(x) for x in items[::workers]]
+            for w, (proc, read) in enumerate(zip(procs, reads), 1):
+                try:
+                    ok, value = read.recv()  # unpickles what our own child sent
+                except EOFError:
+                    raise RuntimeError(
+                        f"worker process {proc.pid} ended without a result") from None
+                if not ok:
+                    raise value
+                out[w::workers] = value
+            return out
+        finally:
+            for proc in procs:  # a child whose result was read is leaving anyway
+                proc.kill()
+                proc.join()
+            for read in reads:  # after the kills: no child writes to a closed pipe
+                read.close()
 
 
 def _child(fn, items, write) -> None:
     """A ``forked`` worker: run ``items`` and send ``(True, results)`` or
     ``(False, error)`` to ``write``."""
+    global _lock
+    _lock = threading.Lock()  # another thread may have held the parent's at the fork
     try:
         payload = (True, [fn(x) for x in items])
     except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it

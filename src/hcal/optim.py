@@ -17,7 +17,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # dead-band so exactly-flat binned metrics do not keep resetting the
-# patience counters
+# patience counter
 MIN_IMPROVEMENT = 1e-6
 
 
@@ -118,10 +118,10 @@ def train_one(
     An epoch takes one Adam step per batch; mini-batches (the last possibly
     short) come from a fresh seeded permutation each epoch.  After every
     epoch the monitor metric is evaluated on the full training set; the
-    learning rate halves after ``scheduler_patience`` epochs without
-    improvement and training stops after ``early_stop_patience`` of them.
-    Both patience counters reference the same global best.  The returned map
-    carries the parameters of the best monitored epoch.
+    learning rate is scaled by ``scheduler_factor`` after every
+    ``scheduler_patience`` epochs without improvement, and training stops
+    after ``early_stop_patience`` of them.  The returned map carries the
+    parameters of the best monitored epoch.
 
     In full-batch mode the monitor's forward after each update is also the
     next epoch's training forward: E epochs take E + 1 forwards.  A forward
@@ -140,10 +140,10 @@ def train_one(
 
     history = TrainHistory()
     best_exact = np.inf  # governs the returned snapshot (true minimum)
-    best_banded = np.inf  # governs the patience counters (MIN_IMPROVEMENT dead-band)
+    best_banded = np.inf  # governs the patience counter (MIN_IMPROVEMENT dead-band)
     best_params = cal_map.params.copy()
     lr = cfg.lr
-    sched_wait = stop_wait = 0
+    stop_wait = 0  # epochs since the last banded improvement
     trace = None  # the monitor forward, kept as the next full-batch epoch's forward
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -182,15 +182,13 @@ def train_one(
             trace = None  # mini-batch epochs start from their own forwards
         if best_banded - metric_val >= MIN_IMPROVEMENT:
             best_banded = metric_val
-            sched_wait = stop_wait = 0
+            stop_wait = 0
         else:
-            sched_wait += 1
             stop_wait += 1
             if stop_wait >= cfg.early_stop_patience:
                 break
-            if sched_wait >= cfg.scheduler_patience:
+            if stop_wait % cfg.scheduler_patience == 0:
                 lr *= cfg.scheduler_factor
-                sched_wait = 0
 
     if history.best_epoch >= 0:
         cal_map.params = best_params

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -297,6 +298,45 @@ class TestStableArgsort:
         np.testing.assert_array_equal(stable_argsort(values), stable)
 
 
+def block_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("hcal-block")]
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS on two threads for the test, then as it was."""
+    before = dataset._set_blas_threads(2)
+    if before is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread call")
+    yield
+    dataset._set_blas_threads(before)
+
+
+class Held:
+    """``call(item, items)`` run on its own thread, whose items wait, in
+    this process, until ``release``; made once an item has started."""
+
+    def __init__(self, call, items):
+        self.go, self.entered, self.ran_on, self.out = (
+            threading.Event(), threading.Event(), set(), None)
+        parent = os.getpid()
+
+        def item(x):
+            self.ran_on.add(threading.get_ident())
+            if os.getpid() == parent:  # a forked child's items run through
+                self.entered.set()
+                assert self.go.wait(30)
+            return x
+
+        self.thread = threading.Thread(target=lambda: setattr(self, "out", call(item, items)))
+        self.thread.start()
+        assert self.entered.wait(30)
+
+    def release(self):
+        self.go.set()
+        self.thread.join(30)
+
+
 class TestBlockwise:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3, 7])
@@ -355,6 +395,36 @@ class TestBlockwise:
             assert count(None) == 2
         finally:
             dataset._set_blas_threads(before)
+
+    @pytest.mark.parametrize("bad", [None, 0, 4])  # returns; the caller's share raises; a thread's
+    def test_threads_live_only_for_the_call(self, bad, monkeypatch, blas_at_two):
+        monkeypatch.setattr(dataset, "_WORKERS", 3)
+
+        def block(s):
+            if s == bad:
+                raise ValueError(f"block {s}")
+            return threading.current_thread().name
+
+        if bad is None:
+            names = blockwise(block, range(6))
+            assert names[::3] == [threading.current_thread().name] * 2  # the caller's share
+            assert all(name.startswith("hcal-block") for name in names[1:3] + names[4:])
+        else:
+            with pytest.raises(ValueError, match=f"block {bad}"):
+                blockwise(block, range(6))
+        assert block_threads() == []
+        assert dataset._set_blas_threads(2) == 2  # the caller's count is back
+
+    def test_overlapping_calls_give_back_the_blas_count(self, monkeypatch, blas_at_two):
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        first = Held(blockwise, range(2))
+        second = Held(blockwise, range(2))  # the first holds the workers
+        first.release()  # the first one in returns first
+        second.release()
+        assert (first.out, second.out) == ([0, 1], [0, 1])
+        assert dataset._set_blas_threads(2) == 2
+        assert dataset._WORKERS == 2
+        assert len(first.ran_on) == 2 and second.ran_on == {second.thread.ident}  # inline
 
     def test_blas_calls_are_looked_up_once(self, monkeypatch):
         loads, cdll = [], ctypes.CDLL
@@ -476,6 +546,38 @@ class TestForked:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=False)
         assert (proc.returncode, proc.stdout) == (0, "before\n[1, 2, 3]\n"), proc.stderr
+
+    def test_overlapping_calls_give_back_the_worker_count(self, monkeypatch, blas_at_two):
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        first = Held(forked, range(2))  # inside its own share, its child started
+        second = Held(forked, [5])  # one item: it holds no workers
+        first.release()  # the first one in returns first
+        second.release()
+        assert (first.out, second.out) == ([0, 1], [5])
+        assert dataset._WORKERS == 2  # later blocks and grids run in parallel again
+        assert dataset._set_blas_threads(2) == 2
+        assert_no_child_left()
+
+    def test_a_child_does_not_inherit_a_held_lock(self, monkeypatch):
+        # as if another thread held the lock when the child was forked
+        monkeypatch.setattr(dataset, "_WORKERS", 2)
+        fork, parent = os.fork, os.getpid()
+
+        def fork_holding_the_lock():
+            dataset._lock.acquire()
+            pid = fork()
+            if pid:
+                dataset._lock.release()
+            return pid
+
+        def item(x):
+            if os.getpid() != parent:
+                signal.alarm(10)  # a child stuck on the lock is killed, and reported
+            return forked(abs, [x])[0]  # a nested call takes the lock
+
+        monkeypatch.setattr(os, "fork", fork_holding_the_lock)
+        assert forked(item, [-1, -2]) == [1, 2]
+        assert_no_child_left()
 
     def test_an_item_may_start_a_process(self, monkeypatch):
         # the children are not daemonic; the caller's item runs here, the other in a child

@@ -70,6 +70,23 @@ class TestBuildWindows:
         with pytest.raises(ValueError, match="exceeds"):
             build_windows(np.full((2, 2), 0.5), np.array([0, 1]), window=5)
 
+    def test_the_papers_bound_holds_at_the_truth(self):
+        # under the true probabilities a window's gap is a mean of M centred
+        # event indicators, so P(|gap| > t) <= 2 exp(-2 M t^2) = delta
+        window, delta = 200, 0.05
+        t = np.sqrt(np.log(2 / delta) / (2 * window))
+        assert round(t, 4) == 0.0960
+
+        def share_over(probs, labels):
+            return np.mean(np.abs(build_windows(probs, labels, window)[2]) > t)
+
+        tasks = [make_overconfident_task(n_train=10, n_test=5000, seed=s) for s in range(20)]
+        truth = np.mean([share_over(task.true_test_probs, task.test.labels) for task in tasks])
+        softmax = np.mean([share_over(softmax_rows(task.test.logits), task.test.labels)
+                           for task in tasks])
+        assert truth <= delta
+        assert softmax > 2 * delta  # the uncalibrated network breaks it
+
 
 class TestWindowSums:
     def test_hand_example(self):

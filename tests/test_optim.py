@@ -10,6 +10,7 @@ from hcal.loss import HCalConfig
 from hcal.maps import EnsembleTempMap, init_map
 from hcal.metrics import ece_ew
 from hcal.optim import (
+    MIN_IMPROVEMENT,
     AdamState,
     CandidateReport,
     TrainConfig,
@@ -171,6 +172,28 @@ class TestTrainOne:
         distinct = sorted(set(lrs), reverse=True)
         for a, b in zip(distinct, distinct[1:]):
             assert b == pytest.approx(a * 0.5, rel=1e-12)
+
+    def test_schedule_replays_from_the_history(self):
+        # one counter of epochs since the last banded improvement: the lr is
+        # scaled at each positive multiple of the scheduler's patience, and
+        # training stops when it reaches the early-stop patience
+        task, _ = make_calibrated_task(n=300, seed=5)
+        cfg = TrainConfig(seed=0, max_epochs=500, scheduler_patience=4,
+                          early_stop_patience=16)
+        _, history = train_one(init_map("ensemble_temp", 2, seed=0), task, "nll", cfg)
+        best, wait, lr, drops = np.inf, 0, cfg.lr, 0
+        for epoch, record in enumerate(history.records, 1):
+            assert (record.epoch, record.lr) == (epoch, lr)
+            if best - record.metric >= MIN_IMPROVEMENT:
+                best, wait = record.metric, 0
+                continue
+            wait += 1
+            if wait >= cfg.early_stop_patience:
+                break
+            if wait % cfg.scheduler_patience == 0:
+                lr, drops = lr * cfg.scheduler_factor, drops + 1
+        assert wait == cfg.early_stop_patience and epoch == len(history.records) < 500
+        assert drops >= 3
 
     def test_early_stop_bound(self):
         task, _ = make_calibrated_task(n=300, seed=6)
